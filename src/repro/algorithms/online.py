@@ -244,6 +244,11 @@ class OnlineAssignmentManager:
         #: from placement like crashed ones, but keep their members
         #: (clients ride out the partition on a stale assignment)
         self._reachable = np.ones(self._servers.size, dtype=bool)
+        #: ``_active & _reachable`` and its count, refreshed only when
+        #: liveness or reachability changes (placement reads them on
+        #: every event)
+        self._usable_mask = np.ones(self._servers.size, dtype=bool)
+        self._n_usable = int(self._servers.size)
         # Incremental objective over the client universe; connected
         # clients are assigned, everything else stays unassigned. The
         # manager's uniform capacity and liveness masks are applied at
@@ -377,6 +382,7 @@ class OnlineAssignmentManager:
         """
         self._check_server_index(server)
         self._active[server] = False
+        self._refresh_usable()
         return tuple(sorted(self._members[server]))
 
     def reactivate_server(self, server: int) -> None:
@@ -387,6 +393,7 @@ class OnlineAssignmentManager:
         """
         self._check_server_index(server)
         self._active[server] = True
+        self._refresh_usable()
 
     # ------------------------------------------------------------------
     # Server reachability (network partition support)
@@ -399,7 +406,7 @@ class OnlineAssignmentManager:
     @property
     def n_usable_servers(self) -> int:
         """Number of servers both up and reachable."""
-        return int((self._active & self._reachable).sum())
+        return self._n_usable
 
     def is_reachable(self, server: int) -> bool:
         """Whether local server ``server`` is on our side of the network."""
@@ -418,16 +425,23 @@ class OnlineAssignmentManager:
         """
         self._check_server_index(server)
         self._reachable[server] = False
+        self._refresh_usable()
         return tuple(sorted(self._members[server]))
 
     def heal_server(self, server: int) -> None:
         """Mark a partitioned server as reachable again. Idempotent."""
         self._check_server_index(server)
         self._reachable[server] = True
+        self._refresh_usable()
+
+    def _refresh_usable(self) -> None:
+        self._usable_mask = self._active & self._reachable
+        self._n_usable = int(self._usable_mask.sum())
 
     def _usable(self) -> np.ndarray:
-        """Boolean mask of servers valid as placement targets."""
-        return self._active & self._reachable
+        """Boolean mask of servers valid as placement targets (shared;
+        callers must not modify it)."""
+        return self._usable_mask
 
     def move(self, client_node: int, server: int) -> None:
         """Reassign a connected client to a specific usable server."""
@@ -751,12 +765,12 @@ class OnlineAssignmentManager:
         return problem, Assignment(problem, server_of), nodes
 
     def verify(self) -> bool:
-        """Internal consistency check: incremental D equals the exact D."""
+        """Internal consistency check: the cached D equals a from-scratch
+        recompute exactly (the engine's cache is bit-identical)."""
         if not self._assigned:
             return True
         _problem, assignment, _nodes = self.snapshot()
-        exact = max_interaction_path_length(assignment)
-        return abs(exact - self.current_d()) <= 1e-6 * max(1.0, exact)
+        return max_interaction_path_length(assignment) == self.current_d()
 
 
 # ----------------------------------------------------------------------

@@ -17,10 +17,19 @@ farthest assigned clients plus cached server-level reductions:
 
 With those caches a :meth:`batch_delta_D` call scores *all* |S|
 candidate destinations of one client in a handful of O(|S|) vectorized
-passes, :meth:`apply` commits a move with O(k) heap work plus one
-O(|S|^2) objective refresh (performed lazily), and :meth:`undo` restores
-the previous state exactly. Top-k lists are rebuilt lazily from the
-ground-truth assignment when removals drain them.
+passes, :meth:`apply` commits a move with O(k) heap work, and
+:meth:`undo` restores the previous state exactly. Top-k lists are
+rebuilt lazily from the ground-truth assignment when removals drain
+them.
+
+A commit invalidates only the caches it made stale. The cached D and
+the reductions are pure functions of ``(l_out, l_in)`` over the fixed
+server matrix, so a commit that changes no server's ``l`` (a leaver
+that was not its server's farthest member, a joiner that is not the new
+farthest) keeps both. A commit whose only change is a rise at one
+server drops the reductions and folds that server's row and column into
+D in O(|S|). A lowered ``l`` invalidates both, and they are rebuilt
+lazily — D in O(|S_used|^2) — on the next query.
 
 The maxima the engine maintains are exact (maxima of the same floating
 point numbers the from-scratch pass would inspect), so its cached D is
@@ -484,9 +493,10 @@ class IncrementalObjective:
         """Current maximum interaction path length (0.0 when empty).
 
         Served from cache; recomputed in O(|S_used|^2) from the cached
-        ``l`` vectors after a committed change, with the same reduction
-        (and the same floating point evaluation order) as
-        :func:`repro.core.metrics.max_interaction_path_length`.
+        ``l`` vectors after a commit that lowered some ``l``, with the
+        same reduction (and the same floating point evaluation order) as
+        :func:`repro.core.metrics.max_interaction_path_length`. Commits
+        that change no ``l`` keep it, and a rise folds into it in O(|S|).
         """
         if self._n_assigned == 0:
             return 0.0
@@ -556,9 +566,9 @@ class IncrementalObjective:
         """The objective after moving ``client`` to ``new_server``.
 
         Exact (up to floating point association) — not a bound. O(|S|)
-        on warm caches, O(|S|^2) when a committed change invalidated
-        them; scoring several destinations of one client amortizes to
-        O(1) each via the shared per-client context.
+        on warm caches, O(|S|^2) when a commit changed some ``l`` and so
+        invalidated the reductions; scoring several destinations of one
+        client amortizes to O(1) each via the shared per-client context.
         """
         ctx = self._context(client)
         self._n_evaluations += 1
@@ -618,6 +628,32 @@ class IncrementalObjective:
         self._reductions = None
         self._ctx = None
 
+    def _settle(self, raised: Optional[int], rebuild: bool) -> None:
+        """Invalidate exactly the caches a commit made stale.
+
+        ``raised`` is the server whose ``l`` rose (``None`` when none
+        did); ``rebuild`` drops both caches, for a commit that lowered
+        some ``l`` or was the first assignment. A rise leaves every old
+        term of D in place and can only grow the terms through that
+        server (IEEE addition is monotone), so folding its row and
+        column into the cached D gives the from-scratch maximum bit for
+        bit; each term keeps ``objective_refresh``'s
+        ``(l_out + d) + l_in`` association, and unused servers
+        contribute ``-inf``.
+        """
+        if rebuild:
+            self._touch()
+            return
+        self._ctx = None
+        if raised is None:
+            return
+        self._reductions = None
+        if self._d is not None:
+            l_out, l_in, ss = self._l_out, self._l_in, self._ss64
+            row = (l_out[raised] + ss[raised, :]) + l_in
+            col = (l_out + ss[:, raised]) + l_in[raised]
+            self._d = max(self._d, float(row.max()), float(col.max()))
+
     def _push_undo(self, client: int, old_server: int, new_server: int) -> None:
         if not self._history:
             return
@@ -636,7 +672,9 @@ class IncrementalObjective:
                 )
         self._undo_stack.append((record, snapshots))
 
-    def _detach(self, client: int, server: int) -> None:
+    def _detach(self, client: int, server: int) -> bool:
+        """Remove a member; returns whether the server's ``l`` fell."""
+        l_out, l_in = self._l_out[server], self._l_in[server]
         self._top_out[server].discard(client)
         self._top_in[server].discard(client)
         self._loads[server] -= 1
@@ -649,10 +687,13 @@ class IncrementalObjective:
             self._ensure_head(server)
             self._l_out[server] = self._top_out[server].head()
             self._l_in[server] = self._top_in[server].head()
+        return bool(self._l_out[server] != l_out or self._l_in[server] != l_in)
 
-    def _attach(self, client: int, server: int) -> None:
+    def _attach(self, client: int, server: int) -> bool:
+        """Add a member; returns whether the server's ``l`` rose."""
         out = float(self._cs[client, server])
         inn = float(self._sc[server, client])
+        raised = bool(out > self._l_out[server] or inn > self._l_in[server])
         self._top_out[server].add(out, client)
         self._top_in[server].add(inn, client)
         self._loads[server] += 1
@@ -660,12 +701,16 @@ class IncrementalObjective:
             self._wloads[server] += self._weights[client]
         self._l_out[server] = max(self._l_out[server], out)
         self._l_in[server] = max(self._l_in[server], inn)
+        return raised
 
     def apply(self, client: int, new_server: int) -> None:
         """Commit ``client -> new_server`` (assigning if unassigned).
 
-        O(k) list maintenance; the cached objective and reductions are
-        invalidated and rebuilt lazily on the next query.
+        O(k) list maintenance. The cached objective and reductions
+        survive when no server's ``l`` changed; a rise at the
+        destination updates D in O(|S|) and drops the reductions; a
+        lowered ``l`` at the origin drops both, to be rebuilt lazily on
+        the next query.
         """
         if not 0 <= new_server < self._problem.n_servers:
             raise InvalidAssignmentError(
@@ -685,13 +730,15 @@ class IncrementalObjective:
         # _detach derives membership from server_of and must not see the
         # departing client.
         self._server_of[client] = new_server
+        first = self._n_assigned == 0
+        lowered = False
         if old_server >= 0:
-            self._detach(client, old_server)
+            lowered = self._detach(client, old_server)
         else:
             self._n_assigned += 1
-        self._attach(client, new_server)
+        raised = self._attach(client, new_server)
         self._m_apply.inc()
-        self._touch()
+        self._settle(new_server if raised else None, lowered or first)
 
     def assign(self, client: int, server: int) -> None:
         """Alias of :meth:`apply` for initially-unassigned clients."""
@@ -732,6 +779,7 @@ class IncrementalObjective:
                     ],
                 )
             )
+        first = self._n_assigned == 0
         self._server_of[batch] = server
         self._loads[server] += batch.size
         if self._wloads is not None:
@@ -752,10 +800,14 @@ class IncrementalObjective:
             for i in range(batch.size):
                 top_out.add(float(out[i]), int(batch[i]))
                 top_in.add(float(inn[i]), int(batch[i]))
-        self._l_out[server] = max(self._l_out[server], float(out.max()))
-        self._l_in[server] = max(self._l_in[server], float(inn.max()))
+        out_max, inn_max = float(out.max()), float(inn.max())
+        raised = bool(
+            out_max > self._l_out[server] or inn_max > self._l_in[server]
+        )
+        self._l_out[server] = max(self._l_out[server], out_max)
+        self._l_in[server] = max(self._l_in[server], inn_max)
         self._m_assign_many.inc()
-        self._touch()
+        self._settle(server if raised else None, first)
 
     def unassign(self, client: int) -> None:
         """Remove ``client`` from the assignment (online ``leave``)."""
@@ -771,10 +823,10 @@ class IncrementalObjective:
         # Mapping first, for the same reason as in apply(): rebuilds
         # inside _detach read membership from server_of.
         self._server_of[client] = _UNASSIGNED
-        self._detach(client, server)
+        lowered = self._detach(client, server)
         self._n_assigned -= 1
         self._m_unassign.inc()
-        self._touch()
+        self._settle(None, lowered)
 
     def undo(self) -> None:
         """Revert the most recent commit exactly.

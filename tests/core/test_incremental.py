@@ -25,6 +25,7 @@ from repro.core import (
     record_candidate_evaluations,
 )
 from repro.errors import InvalidAssignmentError, InvalidParameterError
+from repro.kernels import numpy_backend
 from repro.net.latency import LatencyMatrix
 
 
@@ -359,3 +360,72 @@ class TestTopListWatermark:
                     )
             assert engine.d() == pytest.approx(best, rel=1e-9)
         assert engine.verify()
+
+
+def _assert_caches_exact(engine):
+    """The cached D and reductions equal a from-scratch kernel pass."""
+    if engine.n_assigned == 0:
+        assert engine.d() == 0.0
+        return
+    l_out, l_in = engine.l_vectors()
+    ss64 = np.asarray(engine.problem.server_server, dtype=np.float64)
+    cached = engine._reductions
+    assert engine.d() == numpy_backend.objective_refresh(l_out, l_in, ss64)
+    if cached is not None:
+        fresh = numpy_backend.reduction_top2(ss64, l_in, l_out)
+        for got, want in zip(cached, fresh):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("history", [True, False], ids=["history", "no-history"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_caches_survive_commits_exactly(history, dtype, weighted):
+    """Seeded walks: the caches a commit keeps or updates stay exact.
+
+    After every commit the cached D equals a fresh ``objective_refresh``
+    bit for bit, and reductions still cached equal a fresh
+    ``reduction_top2``. Candidate queries between commits warm the
+    reductions so the walk exercises commits that keep them (counted,
+    so the check is not vacuous).
+    """
+    rng = np.random.default_rng(
+        20261017 + 2 * history + 4 * (dtype is np.float32) + 8 * weighted
+    )
+    n, k_servers = 48, 5
+    values = rng.uniform(1.0, 100.0, size=(n, n))
+    np.fill_diagonal(values, 0.0)
+    servers = np.sort(rng.choice(n, size=k_servers, replace=False))
+    weights = rng.integers(1, 6, size=n) if weighted else None
+    problem = ClientAssignmentProblem(
+        LatencyMatrix(values, dtype=dtype), servers, client_weights=weights
+    )
+    engine = IncrementalObjective(problem, k=3, history=history)
+    kept = 0
+    for _ in range(600):
+        if rng.uniform() < 0.3:
+            engine.batch_delta_D(int(rng.integers(n)))
+        before = engine._reductions
+        server_of = engine.server_of
+        free = np.flatnonzero(server_of < 0)
+        taken = np.flatnonzero(server_of >= 0)
+        op = int(rng.integers(10))
+        if op < 3:
+            engine.apply(int(rng.integers(n)), int(rng.integers(k_servers)))
+        elif op < 5 and free.size:
+            engine.assign(int(rng.choice(free)), int(rng.integers(k_servers)))
+        elif op < 6 and free.size:
+            size = int(rng.integers(1, min(free.size, 6) + 1))
+            batch = rng.choice(free, size=size, replace=False)
+            engine.assign_many(batch, int(rng.integers(k_servers)))
+        elif op < 8 and taken.size:
+            engine.unassign(int(rng.choice(taken)))
+        elif history and engine._undo_stack:
+            engine.undo()
+        else:
+            continue
+        if before is not None and engine._reductions is before:
+            kept += 1
+        _assert_caches_exact(engine)
+    assert kept > 0
+    assert engine.verify()

@@ -347,6 +347,31 @@ class TestPartitionReachability:
         assert manager.n_usable_servers == 5
         assert manager.is_reachable(0)
 
+    def test_usable_servers_track_overlapping_crash_and_partition(
+        self, matrix, servers
+    ):
+        manager = populated_manager(matrix, servers)
+        client = manager.clients[0]
+        steps = [
+            (manager.deactivate_server, 0, 4),
+            (manager.partition_server, 0, 4),
+            (manager.partition_server, 3, 3),
+            (manager.heal_server, 0, 3),
+            (manager.reactivate_server, 0, 4),
+            (manager.reactivate_server, 0, 4),
+            (manager.heal_server, 3, 5),
+        ]
+        for change, server, n_usable in steps:
+            change(server)
+            assert manager.n_usable_servers == n_usable
+            usable = [
+                manager.is_active(s) and manager.is_reachable(s)
+                for s in range(5)
+            ]
+            assert sum(usable) == n_usable
+            costs = manager.candidate_costs(client)
+            assert np.array_equal(np.isfinite(costs), usable)
+
     def test_move_to_unreachable_refused(self, matrix, servers):
         manager = populated_manager(matrix, servers)
         client = manager.clients[0]
