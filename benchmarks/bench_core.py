@@ -1,8 +1,12 @@
 """Micro-benchmarks for the metric and bound computations.
 
-The O(|C| + |S|^2) D computation and the blocked min-plus lower bound
-are the harness's inner loops; regressions here multiply across the
-thousands of runs in the random-placement sweeps.
+The O(|C| + |S|^2) D computation and the §V lower bound are the
+harness's inner loops; regressions here multiply across the thousands
+of runs in the random-placement sweeps. The lower bound is two min-plus
+products, the second scanned with exact row/column bound pruning (see
+``repro.core.lower_bound``); its benchmark also checks the pruned value
+against the brute-force oracle. With ``--benchmark-disable`` each
+function runs once, so the assertions double as a smoke test.
 """
 
 import numpy as np
@@ -14,6 +18,7 @@ from repro.core import (
     OffsetSchedule,
     clients_on_longest_paths,
     interaction_lower_bound,
+    interaction_lower_bound_bruteforce,
     max_interaction_path_length,
 )
 from repro.placement import random_placement
@@ -38,6 +43,7 @@ def test_max_interaction_path_length(benchmark, assignment):
 def test_lower_bound(benchmark, instance):
     lb = benchmark(interaction_lower_bound, instance)
     assert lb > 0
+    assert lb == interaction_lower_bound_bruteforce(instance)
 
 
 def test_clients_on_longest_paths(benchmark, assignment):
