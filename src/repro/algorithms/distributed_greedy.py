@@ -37,6 +37,17 @@ retains the O(|C| + |S|^2)-per-candidate path for equivalence testing
 and benchmarking; both produce the same replies and hence the same
 modification trace.
 
+The longest-path candidates of each round come from the same engine.
+A client ``c`` is a candidate when ``d(c, s_A(c)) + best_in[s_A(c)]``
+or ``best_out[s_A(c)] + d(s_A(c), c)`` reaches D, and D and the
+best-completion reductions are already cached in the engine. The two
+per-client legs are float64 arrays updated at the single move site, so
+a round costs O(|C|) plus at most one O(|S|^2) reduction refresh that
+the replies would need anyway. The sums, the tolerance and the
+ascending client order are those of
+:func:`~repro.core.metrics.clients_on_longest_paths`, which
+``evaluator="recompute"`` still calls as the oracle.
+
 Capacitated variant (§IV-E): clients may move only to unsaturated
 servers, and the initial assignment is capacitated Nearest-Server.
 """
@@ -120,6 +131,27 @@ def _candidate_lengths_recompute(
     return np.maximum(l_candidates, cs[c, :] + sc[:, c])
 
 
+def _longest_path_clients(
+    engine: IncrementalObjective,
+    server_of: np.ndarray,
+    leg_out: np.ndarray,
+    leg_in: np.ndarray,
+    d_max: float,
+) -> np.ndarray:
+    """:func:`~repro.core.metrics.clients_on_longest_paths` from engine state.
+
+    ``leg_out[c] = d(c, s_A(c))`` and ``leg_in[c] = d(s_A(c), c)`` in
+    float64, ``d_max`` the engine's D; the best completions are the
+    engine's cached reductions. Same sums, same comparisons (with that
+    function's default tolerance) and the same ascending client order.
+    """
+    threshold = d_max - 1e-9
+    best_to, best_from = engine.server_reductions()
+    as_issuer = leg_out + best_to[server_of]
+    as_receiver = best_from[server_of] + leg_in
+    return np.flatnonzero((as_issuer >= threshold) | (as_receiver >= threshold))
+
+
 @register_detailed("distributed-greedy")
 def distributed_greedy_detailed(
     problem: ClientAssignmentProblem,
@@ -180,6 +212,11 @@ def distributed_greedy_detailed(
 
     if incremental:
         d_current = engine.d()
+        # Each client's legs to and from its server, kept current at the
+        # single move site below.
+        clients = np.arange(problem.n_clients)
+        leg_out = problem.client_server[clients, server_of].astype(np.float64)
+        leg_in = problem.server_client[server_of, clients].astype(np.float64)
     else:
         d_current = max_interaction_path_length(current_assignment())
     trace: List[float] = [d_current]
@@ -196,7 +233,12 @@ def distributed_greedy_detailed(
         evaluator=evaluator,
     ):
         while len(trace) - 1 < max_modifications:
-            candidates = clients_on_longest_paths(current_assignment())
+            if incremental:
+                candidates = _longest_path_clients(
+                    engine, server_of, leg_out, leg_in, d_current
+                )
+            else:
+                candidates = clients_on_longest_paths(current_assignment())
             moved = False
             for c in candidates:
                 c = int(c)
@@ -233,6 +275,8 @@ def distributed_greedy_detailed(
                     if incremental:
                         engine.apply(c, best_server)
                         d_current = engine.d()
+                        leg_out[c] = problem.client_server[c, best_server]
+                        leg_in[c] = problem.server_client[best_server, c]
                     else:
                         d_current = max_interaction_path_length(
                             current_assignment()

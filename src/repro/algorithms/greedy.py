@@ -20,11 +20,18 @@ maximum interaction path length.
 
 Implementation notes
 --------------------
-- Fully vectorized: each iteration computes the entire ``(|S|, |C|)``
-  cost matrix with numpy. ``Δn`` comes from per-server sorted client
-  orders (the pseudocode's ``index[s, c]``), refreshed per iteration via
-  a masked cumulative sum — the same O(|S| |C|) stage-3 recount as the
-  paper's pseudocode.
+- Sorted frame: ``d(c, s)``, ``d(s, c)`` and the round trips are
+  gathered once into each server's stable ascending client order (the
+  pseudocode's ``index[s, c]``), one row per server. After every batch
+  commits, each row is compacted to its still-unassigned clients; every
+  row loses exactly the batch, so the frame stays a rectangular
+  ``(|S|, w)`` array with ``w`` the number of unassigned clients. A
+  client's ``Δn`` (its rank among the unassigned clients in the row) is
+  then simply its column plus one, and the batch closure is a prefix of
+  the selected server's row. Each cost entry is the same floating point
+  operation on the same operands as the full-matrix formulation, and
+  ties still resolve to the lowest ``(s, c)`` index of the full
+  ``(|S|, |C|)`` matrix, so the result is unchanged.
 - Assignment state and the ``m(s)`` reductions live in an
   :class:`~repro.core.incremental.IncrementalObjective`: batches commit
   via ``assign_many`` and the per-server farthest legs / best
@@ -39,8 +46,9 @@ Implementation notes
   batch keeps the selected client ``c`` plus the ``r - 1`` nearest batch
   members (so ``Δl`` stays exact — ``c`` remains the farthest member).
 
-Complexity: O(|S| |C| log |C|) preprocessing + O(|S| |C|) per iteration,
-matching the paper's O(|S||C| log|C| + m |S||C|).
+Complexity: O(|S| |C| log |C|) preprocessing + O(|S| w) per iteration
+with ``w`` the clients still unassigned — within the paper's
+O(|S||C| log|C| + m |S||C|).
 """
 
 from __future__ import annotations
@@ -89,13 +97,15 @@ def greedy(
     batches = metrics.counter("greedy.batches")
     batch_sizes = metrics.histogram("greedy.batch_size")
 
-    # Preprocessing: per-server client order by ascending d(c, s), and
-    # each client's position in that order (the pseudocode's index[s, c]
-    # before any assignment).
-    order = np.argsort(cs.T, axis=1, kind="stable")  # (S, C) client ids
-    pos = np.empty_like(order)
+    # Preprocessing: per-server client order by ascending d(c, s) (the
+    # pseudocode's index[s, c]) and every per-pair term gathered into it.
+    # Row s of each frame array holds the still-unassigned clients in
+    # that order; rows shrink together as batches commit.
+    order = np.argsort(cs.T, axis=1, kind="stable")  # (S, w) client ids
     rows = np.arange(n_servers)[:, None]
-    pos[rows, order] = np.arange(n_clients)[None, :]
+    cs_f = cs.T[rows, order]  # d(c, s)
+    sc_f = sc[rows, order]  # d(s, c)
+    rt_f = rt.T[rows, order]  # d(c, s) + d(s, c)
 
     unassigned = np.ones(n_clients, dtype=bool)
     remaining = (
@@ -109,7 +119,7 @@ def greedy(
     max_len = 0.0
 
     with span("greedy.assign", clients=n_clients, servers=n_servers):
-        while unassigned.any():
+        while order.shape[1]:
             # m terms shared per server (line 11 of the pseudocode):
             #   m_in[s]  = max_b d(s, s_A(b)) + d(s_A(b), b)   (outgoing)
             #   m_out[s] = max_b d(b, s_A(b)) + d(s_A(b), s)   (incoming)
@@ -119,66 +129,79 @@ def greedy(
                 m_in, m_out = engine.server_reductions()
 
             # Candidate path length for every (s, c) pair (lines 13-14).
-            cand = np.maximum(rt.T, max_len)  # round trip & current max
+            cand = np.maximum(rt_f, max_len)  # round trip & current max
             if any_assigned:
-                cand = np.maximum(cand, cs.T + m_in[:, None])
-                cand = np.maximum(cand, m_out[:, None] + sc)
-            record_candidate_evaluations(cand.size)
+                cand = np.maximum(cand, cs_f + m_in[:, None])
+                cand = np.maximum(cand, m_out[:, None] + sc_f)
+            # The pseudocode scores the full (|S|, |C|) pair grid.
+            record_candidate_evaluations(n_servers * n_clients)
             delta_l = cand - max_len  # >= 0
 
-            # Δn: rank of each client among unassigned clients per server.
-            cum = np.cumsum(unassigned[order], axis=1)  # (S, C)
-            delta_n = np.take_along_axis(cum, pos, axis=1).astype(np.float64)
-
+            # Δn: a client's rank among the unassigned clients of its
+            # row, which in the compacted frame is its column plus one.
+            delta_n = np.arange(1, order.shape[1] + 1, dtype=np.float64)
             if remaining is not None:
-                delta_n = np.minimum(delta_n, remaining[:, None])
+                delta_n = np.minimum(delta_n[None, :], remaining[:, None])
 
-            # Assigned clients (and saturated servers) can yield Δn = 0;
-            # their costs are masked right after, so silence the 0/0.
+            # Saturated servers yield Δn = 0; their costs are masked
+            # right after, so silence the 0/0.
             with np.errstate(divide="ignore", invalid="ignore"):
-                if amortized:
-                    cost = delta_l / delta_n
-                else:
-                    cost = np.where(delta_n > 0, delta_l, np.inf)
-            # Mask out assigned clients and saturated servers.
-            cost[:, ~unassigned] = np.inf
+                cost = delta_l / delta_n if amortized else delta_l
             if remaining is not None:
                 cost[remaining <= 0, :] = np.inf
 
-            flat = int(np.argmin(cost))
-            s_star, c_star = divmod(flat, n_clients)
-            assert np.isfinite(cost[s_star, c_star]), "no assignable pair found"
+            # Lowest cost; ties go to the lowest flat (s, c) index of
+            # the full cost matrix, as an argmin over it would pick.
+            best = cost.min()
+            assert np.isfinite(best), "no assignable pair found"
+            tied_s, tied_k = np.nonzero(cost == best)
+            pick = int(np.argmin(tied_s * n_clients + order[tied_s, tied_k]))
+            s_star, k_star = int(tied_s[pick]), int(tied_k[pick])
+            c_star = int(order[s_star, k_star])
 
-            limit = cs[c_star, s_star]
-            batch = np.flatnonzero(unassigned & (cs[:, s_star] <= limit))
-            if remaining is not None and batch.size > remaining[s_star]:
-                others = batch[batch != c_star]
+            # The batch: every unassigned client not farther from s*
+            # than c*, a prefix of s*'s row (ties with c* included).
+            n_batch = int(
+                np.searchsorted(cs_f[s_star], cs_f[s_star, k_star], side="right")
+            )
+            prefix = order[s_star, :n_batch]
+            if remaining is not None and n_batch > remaining[s_star]:
+                # Keep c* plus its nearest batch mates, nearest first.
+                others = prefix[prefix != c_star]
                 keep_n = int(remaining[s_star]) - 1
-                if keep_n > 0:
-                    nearest_others = others[
-                        np.argsort(cs[others, s_star], kind="stable")
-                    ]
-                    batch = np.concatenate(([c_star], nearest_others[:keep_n]))
-                else:
-                    batch = np.array([c_star], dtype=np.int64)
+                batch = np.concatenate(([c_star], others[:keep_n]))
+            else:
+                batch = np.sort(prefix)
 
             engine.assign_many(batch, s_star)
             unassigned[batch] = False
             if remaining is not None:
                 remaining[s_star] -= batch.size
-            max_len = float(cand[s_star, c_star])
+            max_len = float(cand[s_star, k_star])
             batches.inc()
             batch_sizes.observe(batch.size)
+
+            # Compact every row to its unassigned clients; each row
+            # loses exactly the batch, so the frame stays rectangular.
+            keep = np.flatnonzero(unassigned[order])
+            width = order.shape[1] - batch.size
+            order, cs_f, sc_f, rt_f = (
+                x.take(keep).reshape(n_servers, width)
+                for x in (order, cs_f, sc_f, rt_f)
+            )
 
     return engine.assignment()
 
 
 @register("greedy-absolute")
 def greedy_absolute(
-    problem: ClientAssignmentProblem, *, seed: SeedLike = None
+    problem: ClientAssignmentProblem,
+    *,
+    seed: SeedLike = None,
+    backend: str = "auto",
 ) -> Assignment:
     """Ablation variant of Greedy Assignment with cost = Δl (no Δn).
 
     Registered separately so experiment configs can sweep it by name.
     """
-    return greedy(problem, seed=seed, amortized=False)
+    return greedy(problem, seed=seed, amortized=False, backend=backend)

@@ -142,9 +142,9 @@ def clients_on_longest_paths(
     """Local indices of all clients involved in some longest path.
 
     A client ``c`` is involved when there exists another endpoint ``c'``
-    with path length ``>= D - tol`` in either direction. O(|C| |S|) using
-    per-server reductions: the best completion of a path starting (or
-    ending) at ``c`` is precomputed per server.
+    with path length ``>= D - tol`` in either direction. O(|C| + |S|^2)
+    using per-server reductions: the best completion of a path starting
+    (or ending) at ``c`` is precomputed per server.
     """
     problem = assignment.problem
     d_max = max_interaction_path_length(assignment)

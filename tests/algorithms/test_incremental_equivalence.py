@@ -39,6 +39,23 @@ def _problems():
     cases.append(
         ClientAssignmentProblem(asym, random_placement(asym, 5, seed=9))
     )
+    # float32 storage: the engine accumulates in float64 throughout.
+    f32 = small_world_latencies(60, seed=6, dtype=np.float32)
+    cases.append(ClientAssignmentProblem(f32, random_placement(f32, 7, seed=6)))
+    # Weighted clients, as the coreset's reduced instances carry.
+    matrix = small_world_latencies(45, seed=5)
+    weights = np.random.default_rng(5).integers(1, 6, size=45)
+    cases.append(
+        ClientAssignmentProblem(
+            matrix, random_placement(matrix, 5, seed=5), client_weights=weights
+        )
+    )
+    # Small-alphabet integer latencies: many clients tie on a longest
+    # path, so the candidate set (and n_messages) is large.
+    rng = np.random.default_rng(11)
+    values = np.triu(rng.integers(1, 5, size=(50, 50)).astype(np.float64), 1)
+    ties = LatencyMatrix(values + values.T)
+    cases.append(ClientAssignmentProblem(ties, random_placement(ties, 6, seed=11)))
     return cases
 
 

@@ -100,11 +100,14 @@ class TestBackendForwarding:
         with pytest.raises(InvalidParameterError):
             run_algorithm("greedy", small_problem, seed=0, backend="gpu")
 
-    def test_numba_request_fails_loudly_when_absent(self, small_problem):
+    @pytest.mark.parametrize("name", ["greedy", "greedy-absolute"])
+    def test_numba_request_fails_loudly_when_absent(self, small_problem, name):
+        # Both registry names build the engine; neither may fall back
+        # to numpy silently when numba was asked for.
         from repro.errors import KernelBackendError
         from repro.kernels import numba_available
 
         if numba_available():
             pytest.skip("numba importable here; the error path is unreachable")
         with pytest.raises(KernelBackendError):
-            run_algorithm("greedy", small_problem, seed=0, backend="numba")
+            run_algorithm(name, small_problem, seed=0, backend="numba")
