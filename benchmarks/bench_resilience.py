@@ -41,7 +41,6 @@ from repro.experiments.persistence import BenchTable, load_result, save_result
 from repro.experiments.reporting import format_table
 from repro.placement import kcenter_b
 from repro.resilience import DurableRuntime, chaos_workload
-from repro.resilience.chaos import apply_event
 from repro.resilience.wal import WalRecord
 
 OVERHEAD_BUDGET = 1.10
@@ -112,7 +111,7 @@ def _drive(directory, matrix, servers, events, *, fsync_every, checkpoint_every)
         runtime._wal = _NullWal(runtime.applied_seq + 1)
     start = time.perf_counter()
     for event in events:
-        apply_event(runtime, event)
+        runtime.apply(event["op"], event)
     elapsed = time.perf_counter() - start
     final_d = runtime.current_d()
     runtime.abandon()
@@ -219,7 +218,7 @@ def test_recovery_time_vs_tail_length(benchmark, setup, tmp_path):
                 directory, matrix, servers, checkpoint_every=0, fsync_every=1024
             )
             for event in events[:tail]:
-                apply_event(runtime, event)
+                runtime.apply(event["op"], event)
             expected = runtime.digest()
             runtime.abandon()
             start = time.perf_counter()

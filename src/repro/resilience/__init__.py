@@ -32,7 +32,6 @@ See ``docs/resilience.md`` for the on-disk formats and guarantees.
 """
 
 from repro.resilience.chaos import (
-    ChaosEvent,
     ChaosReport,
     KillPointResult,
     chaos_workload,
@@ -88,7 +87,6 @@ __all__ = [
     "DurabilityConfig",
     "DurableRuntime",
     # chaos
-    "ChaosEvent",
     "chaos_workload",
     "KillPointResult",
     "ChaosReport",

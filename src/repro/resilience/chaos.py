@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import InvalidParameterError
 from repro.faults.models import random_partition_schedule
@@ -40,15 +40,6 @@ from repro.resilience.degrade import DegradePolicy
 from repro.resilience.runtime import WAL_NAME, DurableRuntime
 from repro.types import IndexArrayLike, as_index_array
 from repro.utils.rng import SeedLike, derive_seed, ensure_rng
-
-
-@dataclass(frozen=True)
-class ChaosEvent:
-    """One workload event; exactly one target field is meaningful."""
-
-    kind: str  # "join" | "leave" | "crash" | "recover" | "partition" | "heal"
-    node: int = -1
-    server: int = -1
 
 
 def chaos_workload(
@@ -62,8 +53,12 @@ def chaos_workload(
     partition_mtbp: Optional[float] = None,
     partition_mttr: Optional[float] = None,
     seed: SeedLike = 0,
-) -> Tuple[ChaosEvent, ...]:
+) -> Tuple[Dict[str, Any], ...]:
     """Draw a deterministic churn-under-faults event list.
+
+    Events are wire-vocabulary dicts (see
+    :mod:`repro.resilience.events`), e.g. ``{"op": "join", "node": 7}``
+    or ``{"op": "partition", "servers": [2]}``.
 
     One churn event (join or leave) per integer tick; crash/recover and
     partition/heal edges fire at the tick their schedule time rounds
@@ -115,7 +110,7 @@ def chaos_workload(
     # the concurrency-capped schedule skipped edges.
     down: Set[int] = set()
     unreachable: Set[int] = set()
-    events: List[ChaosEvent] = []
+    events: List[Dict[str, Any]] = []
     edge_index = 0
     for tick in range(n_events):
         while edge_index < len(fault_edges) and fault_edges[edge_index].time <= tick:
@@ -123,16 +118,16 @@ def chaos_workload(
             edge_index += 1
             if edge.kind == "crash" and edge.server not in down:
                 down.add(edge.server)
-                events.append(ChaosEvent("crash", server=edge.server))
+                events.append({"op": "crash", "server": edge.server})
             elif edge.kind == "recover" and edge.server in down:
                 down.remove(edge.server)
-                events.append(ChaosEvent("recover", server=edge.server))
+                events.append({"op": "recover", "server": edge.server})
             elif edge.kind == "partition" and edge.server not in unreachable:
                 unreachable.add(edge.server)
-                events.append(ChaosEvent("partition", server=edge.server))
+                events.append({"op": "partition", "servers": [edge.server]})
             elif edge.kind == "heal" and edge.server in unreachable:
                 unreachable.remove(edge.server)
-                events.append(ChaosEvent("heal", server=edge.server))
+                events.append({"op": "heal", "servers": [edge.server]})
         do_join = (not believed) or (
             len(believed) < len(candidates)
             and rng.uniform() < join_probability
@@ -141,31 +136,13 @@ def chaos_workload(
             free = [u for u in candidates if u not in believed]
             node = int(free[rng.integers(0, len(free))])
             believed.add(node)
-            events.append(ChaosEvent("join", node=node))
+            events.append({"op": "join", "node": node})
         else:
             pool = sorted(believed)
             node = int(pool[rng.integers(0, len(pool))])
             believed.remove(node)
-            events.append(ChaosEvent("leave", node=node))
+            events.append({"op": "leave", "node": node})
     return tuple(events)
-
-
-def apply_event(runtime: DurableRuntime, event: ChaosEvent) -> None:
-    """Dispatch one workload event onto a durable runtime."""
-    if event.kind == "join":
-        runtime.join(event.node)
-    elif event.kind == "leave":
-        runtime.leave(event.node)
-    elif event.kind == "crash":
-        runtime.crash(event.server)
-    elif event.kind == "recover":
-        runtime.recover_server(event.server)
-    elif event.kind == "partition":
-        runtime.partition([event.server])
-    elif event.kind == "heal":
-        runtime.heal([event.server])
-    else:
-        raise InvalidParameterError(f"unknown chaos event kind {event.kind!r}")
 
 
 #: Bytes appended to simulate a writer killed mid-record: valid-looking
@@ -238,7 +215,7 @@ def run_chaos(
     servers: IndexArrayLike,
     base_dir: os.PathLike,
     *,
-    workload: Optional[Sequence[ChaosEvent]] = None,
+    workload: Optional[Sequence[Dict[str, Any]]] = None,
     n_events: int = 120,
     kill_points: Sequence[int] = (),
     seed: SeedLike = 0,
@@ -292,7 +269,7 @@ def run_chaos(
         digest_at: Dict[int, str] = {}
         trajectory: List[float] = []
         for i, event in enumerate(events):
-            apply_event(baseline, event)
+            baseline.apply(event["op"], event)
             trajectory.append(baseline.current_d())
             if i + 1 in kill_set:
                 digest_at[i + 1] = baseline.digest()
@@ -308,7 +285,7 @@ def run_chaos(
         with span("chaos.kill_point", kill_point=k):
             victim = DurableRuntime(directory, matrix, servers, **common)
             for event in events[:k]:
-                apply_event(victim, event)
+                victim.apply(event["op"], event)
             checkpoint_seq = victim._last_checkpoint_seq
             victim.abandon()
             torn = False
@@ -328,7 +305,7 @@ def run_chaos(
             state_match = recovered.digest() == digest_at[k]
             trajectory_match = True
             for i in range(k, n_total):
-                apply_event(recovered, events[i])
+                recovered.apply(events[i]["op"], events[i])
                 if recovered.current_d() != trajectory[i]:
                     trajectory_match = False
             final_match = recovered.digest() == baseline_final_digest

@@ -4,8 +4,10 @@
 :class:`~repro.algorithms.online.OnlineAssignmentManager`, a
 :class:`~repro.faults.failover.FailoverController` and a
 :class:`~repro.resilience.degrade.DegradeController` behind one event
-API (join / leave / crash / recover_server / partition / heal /
-rebalance). Every operation is appended to the write-ahead log
+API, :meth:`DurableRuntime.apply` (with typed join / leave / crash /
+recover_server / partition / heal / rebalance wrappers), whose
+semantics live in :mod:`repro.resilience.events`. Every operation is
+appended to the write-ahead log
 (:mod:`repro.resilience.wal`) *before* it is applied, and a checkpoint
 (:mod:`repro.resilience.checkpoint`) is written every
 ``checkpoint_every`` events, so
@@ -34,7 +36,7 @@ import os
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Optional, Tuple, Union
 
 from repro.algorithms.online import (
     _UNSET,
@@ -43,9 +45,7 @@ from repro.algorithms.online import (
 )
 from repro.core.incremental import DEFAULT_TOP_K
 from repro.errors import (
-    CapacityError,
     CheckpointError,
-    InvalidAssignmentError,
     InvalidParameterError,
     ResilienceError,
 )
@@ -59,7 +59,8 @@ from repro.resilience.checkpoint import (
     state_digest,
     write_checkpoint,
 )
-from repro.resilience.degrade import HEALTHY, DegradeController, DegradePolicy
+from repro.resilience.degrade import DegradeController, DegradePolicy
+from repro.resilience.events import apply_event, check_event
 from repro.resilience.wal import (
     WalRecord,
     WriteAheadLog,
@@ -639,18 +640,20 @@ class DurableRuntime:
     # ------------------------------------------------------------------
     # Event API (log-then-apply)
     # ------------------------------------------------------------------
+    def apply(self, op: str, data: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
+        """Check, log, then apply one wire-vocabulary event.
+
+        Returns ``(outcome, extras)`` as
+        :func:`~repro.resilience.events.apply_event` does; an event the
+        current state refuses raises before anything is logged.
+        """
+        self._require_open()
+        data = check_event(self._manager, self._controller, self._degrade, op, data)
+        return self._apply_logged(self._wal.append(op, data))
+
     def join(self, node: int) -> str:
         """Admit a client; returns ``"assigned"``/``"queued"``/``"rejected"``."""
-        self._require_open()
-        node = int(node)
-        if not 0 <= node < self._matrix.n_nodes:
-            raise InvalidAssignmentError(f"client node {node} out of range")
-        if self._manager.is_connected(node):
-            raise InvalidAssignmentError(f"client {node} already connected")
-        if self._degrade.in_backlog(node):
-            raise InvalidAssignmentError(f"client {node} already queued")
-        record = self._wal.append("join", {"node": node})
-        return self._apply_join(record)
+        return self.apply("join", {"node": node})[0]
 
     def leave(self, node: int) -> str:
         """Remove a client; returns ``"left"``/``"dequeued"``/``"absent"``.
@@ -660,90 +663,40 @@ class DurableRuntime:
         shed is a counted no-op — churn sources need not know the
         admission outcome of every join they issued.
         """
-        self._require_open()
-        record = self._wal.append("leave", {"node": int(node)})
-        return self._apply_leave(record)
+        return self.apply("leave", {"node": node})[0]
 
     def crash(self, server: int) -> CrashRecord:
         """Fail-stop crash of a (currently up) local server."""
-        self._require_open()
-        server = int(server)
-        if not self._manager.is_active(server):
-            raise InvalidParameterError(f"server {server} is already down")
-        record = self._wal.append("crash", {"server": server})
-        return self._apply_crash(record)
+        self.apply("crash", {"server": server})
+        return self._controller.crash_records[-1]
 
     def recover_server(self, server: int) -> RecoveryRecord:
         """Recover a (currently down) local server."""
-        self._require_open()
-        server = int(server)
-        if self._manager.is_active(server):
-            raise InvalidParameterError(f"server {server} is already up")
-        record = self._wal.append("recover", {"server": server})
-        return self._apply_recover(record)
+        self.apply("recover", {"server": server})
+        return self._controller.recovery_records[-1]
 
     def partition(self, servers: Iterable[int]) -> Tuple[int, ...]:
         """Make a server subset unreachable; returns stale-served nodes."""
-        self._require_open()
-        subset = sorted(int(s) for s in servers)
-        if not subset:
-            raise InvalidParameterError("partition needs at least one server")
-        for server in subset:
-            if not self._manager.is_reachable(server):
-                raise InvalidParameterError(
-                    f"server {server} is already unreachable"
-                )
-        record = self._wal.append("partition", {"servers": subset})
-        return self._apply_partition(record)
+        return tuple(self.apply("partition", {"servers": servers})[1]["stale"])
 
     def heal(self, servers: Iterable[int]) -> None:
         """Restore reachability of a partitioned server subset."""
-        self._require_open()
-        subset = sorted(int(s) for s in servers)
-        if not subset:
-            raise InvalidParameterError("heal needs at least one server")
-        for server in subset:
-            if self._manager.is_reachable(server):
-                raise InvalidParameterError(f"server {server} is reachable")
-        record = self._wal.append("heal", {"servers": subset})
-        self._apply_heal(record)
+        self.apply("heal", {"servers": servers})
 
     def rebalance(self, *, max_moves: int = 16) -> int:
         """Bounded Distributed-Greedy repair; returns moves made."""
-        self._require_open()
-        if max_moves < 0:
-            raise InvalidParameterError(
-                f"max_moves must be >= 0, got {max_moves}"
-            )
-        record = self._wal.append("rebalance", {"max_moves": int(max_moves)})
-        return self._apply_rebalance(record)
+        return self.apply("rebalance", {"max_moves": max_moves})[1]["moves"]
 
     # ------------------------------------------------------------------
-    # Appliers (shared verbatim by the replay path)
+    # Re-execution (live events and WAL replay share one applier)
     # ------------------------------------------------------------------
     def _apply_record(self, record: WalRecord) -> None:
         """Re-execute one WAL record during recovery."""
         try:
             if record.kind == "open":
                 self._applied_seq = record.seq
-            elif record.kind == "join":
-                self._apply_join(record)
-            elif record.kind == "leave":
-                self._apply_leave(record)
-            elif record.kind == "crash":
-                self._apply_crash(record)
-            elif record.kind == "recover":
-                self._apply_recover(record)
-            elif record.kind == "partition":
-                self._apply_partition(record)
-            elif record.kind == "heal":
-                self._apply_heal(record)
-            elif record.kind == "rebalance":
-                self._apply_rebalance(record)
-            else:
-                raise ResilienceError(
-                    f"unknown WAL record kind {record.kind!r}"
-                )
+                return
+            self._apply_logged(record)
         except ResilienceError:
             raise
         except Exception as exc:
@@ -752,68 +705,17 @@ class DurableRuntime:
                 f"kind={record.kind!r} failed: {exc}"
             ) from exc
 
-    def _apply_join(self, record: WalRecord) -> str:
-        node = int(record.data["node"])
-        if self._degrade.state != HEALTHY:
-            outcome = self._degrade.admission_blocked(node, "degraded")
-        else:
-            try:
-                self._manager.join(node)
-                outcome = "assigned"
-            except CapacityError:
-                outcome = self._degrade.admission_blocked(
-                    node, "capacity-exhausted"
-                )
-        self._finish_event(record)
-        return outcome
-
-    def _apply_leave(self, record: WalRecord) -> str:
-        node = int(record.data["node"])
-        if self._manager.is_connected(node):
-            self._manager.leave(node)
-            outcome = "left"
-        elif self._degrade.discard_queued(node):
-            outcome = "dequeued"
-        else:
-            registry().counter("resilience.absent_leaves").inc()
-            outcome = "absent"
-        self._finish_event(record)
-        return outcome
-
-    def _apply_crash(self, record: WalRecord) -> CrashRecord:
-        server = int(record.data["server"])
-        crash = self._controller.on_crash(server, time=float(record.seq))
-        self._finish_event(record)
-        return crash
-
-    def _apply_recover(self, record: WalRecord) -> RecoveryRecord:
-        server = int(record.data["server"])
-        recovery = self._controller.on_recover(server, time=float(record.seq))
-        self._finish_event(record)
-        return recovery
-
-    def _apply_partition(self, record: WalRecord) -> Tuple[int, ...]:
-        stale: List[int] = []
-        for server in record.data["servers"]:
-            stale.extend(self._manager.partition_server(int(server)))
-        registry().counter("resilience.partitions").inc()
-        self._finish_event(record)
-        return tuple(sorted(stale))
-
-    def _apply_heal(self, record: WalRecord) -> None:
-        for server in record.data["servers"]:
-            self._manager.heal_server(int(server))
-        registry().counter("resilience.heals").inc()
-        self._finish_event(record)
-
-    def _apply_rebalance(self, record: WalRecord) -> int:
-        moves = self._manager.rebalance(max_moves=int(record.data["max_moves"]))
-        self._finish_event(record)
-        return moves
-
-    def _finish_event(self, record: WalRecord) -> None:
+    def _apply_logged(self, record: WalRecord) -> Tuple[str, Dict[str, Any]]:
+        """Apply one logged event (a live append or a replayed record)."""
+        result = apply_event(
+            self._manager,
+            self._controller,
+            self._degrade,
+            record.kind,
+            record.data,
+            time=float(record.seq),
+        )
         self._applied_seq = record.seq
-        self._degrade.tick()
         if (
             not self._replaying
             and self._checkpoint_every
@@ -821,6 +723,7 @@ class DurableRuntime:
             >= self._checkpoint_every
         ):
             self.checkpoint()
+        return result
 
     # ------------------------------------------------------------------
     # Lifecycle

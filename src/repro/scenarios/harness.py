@@ -20,21 +20,28 @@ Lower bounds are served by the process-global
 on one scenario recomputes each checkpoint bound once, not P times
 (hit/miss counters land in the ``repro obs`` report).
 
-Three execution paths: ``library`` (a plain
-:class:`~repro.algorithms.online.OnlineAssignmentManager`), ``sharded``
-(:class:`~repro.scale.sharded.ShardedOnlineManager`; fault events are
-rejected, mirroring the service's sharded sessions), and ``wire`` (a
-live :mod:`repro.service` TCP session; meridian/mit instances without
-fault events). :func:`compare_policies` fans replays out through
-:class:`~repro.parallel.pool.TrialPool` — ``workers=0`` is the
-bit-identical serial twin.
+Three execution paths, all with the semantics the service serves:
+``library`` (an :class:`~repro.algorithms.online.OnlineAssignmentManager`
+with a :class:`~repro.faults.failover.FailoverController` and a
+:class:`~repro.resilience.degrade.DegradeController` configured like a
+default service session, driven through
+:func:`~repro.resilience.events.apply_event`), ``sharded`` (the same
+over a :class:`~repro.scale.sharded.ShardedOnlineManager` with no
+failover controller; fault events are rejected, mirroring the service's
+sharded sessions), and ``wire`` (a live :mod:`repro.service` TCP
+session; meridian/mit instances, fault events included). A crash sheds
+only the stranded clients no survivor can hold, farthest first; a join
+that cannot be admitted queues FIFO up to the backlog watermark (and
+is counted as ``rejected`` either way). :func:`compare_policies` fans
+replays out through :class:`~repro.parallel.pool.TrialPool` —
+``workers=0`` is the bit-identical serial twin.
 """
 
 from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,15 +49,13 @@ from repro.algorithms.base import run_algorithm
 from repro.algorithms.online import OnlineAssignmentManager, OnlineConfig
 from repro.algorithms.policies import validate_policy_name
 from repro.core import ClientAssignmentProblem
-from repro.errors import (
-    CapacityError,
-    FailoverError,
-    ReproError,
-    ScenarioError,
-)
+from repro.errors import ReproError, ScenarioError
+from repro.faults.failover import FailoverController
 from repro.obs.metrics import registry
 from repro.parallel.cache import cached_lower_bound
 from repro.parallel.pool import TrialPool, run_trials, successful_values
+from repro.resilience.degrade import DegradeController, DegradePolicy
+from repro.resilience.events import apply_event, check_event
 from repro.scenarios.dsl import BuiltInstance, Scenario, ScenarioTrace
 
 _PATHS = ("library", "sharded", "wire")
@@ -264,30 +269,113 @@ def _checkpoint_indices(n_events: int, every: int) -> set:
 
 
 # ----------------------------------------------------------------------
+# Counters
+# ----------------------------------------------------------------------
+#: Counters every path reports (the wire path has no maintenance, so its
+#: ``maintain_moves`` stays 0).
+_COUNTERS = (
+    "rejected",
+    "skipped_leaves",
+    "evacuated",
+    "shed",
+    "rebalance_moves",
+    "maintain_moves",
+)
+
+
+def _count(
+    counters: Dict[str, int], op: str, outcome: str, extras: Dict[str, Any]
+) -> None:
+    """Fold one event's outcome and reply extras into the counters.
+
+    ``extras`` may be a whole wire reply envelope: the keys read here
+    are exactly the op-specific fields :func:`apply_event` returns.
+    """
+    if op == "join" and outcome != "assigned":
+        counters["rejected"] += 1
+    elif op == "leave" and outcome != "left":
+        counters["skipped_leaves"] += 1
+    elif op == "crash":
+        counters["evacuated"] += extras["evacuated"]
+        counters["shed"] += len(extras["shed"])
+    counters["rebalance_moves"] += extras.get("rebalance_moves", 0)
+    counters["rebalance_moves"] += extras.get("moves", 0)
+
+
+# ----------------------------------------------------------------------
 # Library / sharded replay
 # ----------------------------------------------------------------------
-def _build_manager(
+def _build_stack(
     built: BuiltInstance, policy: str, options: ReplayOptions
-) -> Any:
+) -> Tuple[Any, Optional[FailoverController], DegradeController]:
+    """The served stack: manager, failover controller and degrade
+    machine configured like a service session's defaults (sharded
+    sessions have no failover controller)."""
+    from repro.scale.sharded import ShardedOnlineManager
+
+    sharded = options.path == "sharded"
     config = OnlineConfig(
         capacity=built.capacity,
         join_policy=policy,
         shards=options.shards,
     )
-    if options.path == "sharded":
-        from repro.scale.sharded import ShardedOnlineManager
-
-        return ShardedOnlineManager(
-            built.provider,
-            built.servers,
-            config,
-            client_nodes=built.clients,
-        )
-    return OnlineAssignmentManager(
+    manager = (ShardedOnlineManager if sharded else OnlineAssignmentManager)(
         built.provider,
         built.servers,
         config,
         client_nodes=built.clients,
+    )
+    controller = (
+        None
+        if sharded
+        else FailoverController(manager, readmit_moves=8, shed_policy="shed")
+    )
+    return manager, controller, DegradeController(manager, DegradePolicy())
+
+
+def _replay_chunks(
+    scenario: Scenario,
+    trace: ScenarioTrace,
+    built: BuiltInstance,
+    policy: str,
+    options: ReplayOptions,
+    step: Callable[..., Tuple[Sequence[int], float, np.ndarray]],
+) -> ReplayResult:
+    """Drive a path from checkpoint to checkpoint and measure each.
+
+    ``step(chunk, counters)`` applies a chunk of events, folds their
+    outcomes into the counters and returns ``(connected, D, loads)``.
+    """
+    counters = dict.fromkeys(_COUNTERS, 0)
+    events_metric = registry().counter("scenarios.events")
+    checkpoints: List[Checkpoint] = []
+    started = _time.perf_counter()
+    start = 0
+    for mark in sorted(_checkpoint_indices(trace.n_events, options.checkpoint_every)):
+        chunk = trace.events[start : mark + 1]
+        start = mark + 1
+        events_metric.inc(len(chunk))
+        connected, d_online, loads = step(chunk, counters)
+        checkpoint = _measure(
+            built,
+            connected,
+            d_online,
+            event_index=mark,
+            time=trace.events[mark].time,
+            rejected=counters["rejected"],
+            loads=loads,
+            options=options,
+        )
+        if checkpoint is not None:
+            checkpoints.append(checkpoint)
+    return ReplayResult(
+        scenario=scenario.name,
+        policy=policy,
+        path=options.path,
+        n_events=trace.n_events,
+        checkpoints=tuple(checkpoints),
+        counters=counters,
+        elapsed_seconds=_time.perf_counter() - started,
     )
 
 
@@ -304,83 +392,21 @@ def _replay_managed(
             f"sharded path (like sharded service sessions) supports "
             f"join/leave/rebalance only"
         )
-    manager = _build_manager(built, policy, options)
-    counters = {
-        "rejected": 0,
-        "skipped_leaves": 0,
-        "evacuated": 0,
-        "shed": 0,
-        "rebalance_moves": 0,
-        "maintain_moves": 0,
-    }
-    metrics = registry()
-    events_metric = metrics.counter("scenarios.events")
-    marks = _checkpoint_indices(trace.n_events, options.checkpoint_every)
-    checkpoints: List[Checkpoint] = []
-    started = _time.perf_counter()
-    for i, event in enumerate(trace.events):
-        events_metric.inc()
-        if event.op == "join":
-            try:
-                manager.join(event.node)
-            except CapacityError:
-                counters["rejected"] += 1
-        elif event.op == "leave":
-            if manager.is_connected(event.node):
-                manager.leave(event.node)
-            else:
-                counters["skipped_leaves"] += 1
-        elif event.op == "crash":
-            stranded = manager.deactivate_server(event.server)
-            try:
-                moves = manager.evacuate(event.server)
-                counters["evacuated"] += len(moves)
-            except FailoverError:
-                # Survivors cannot host the stranded clients: shed them
-                # (they disconnect), like the service's degraded mode.
-                for node in sorted(stranded):
-                    manager.leave(node)
-                counters["shed"] += len(stranded)
-        elif event.op == "recover":
-            manager.reactivate_server(event.server)
-            counters["rebalance_moves"] += manager.rebalance(max_moves=8)
-        elif event.op == "partition":
-            manager.partition_server(event.server)
-        elif event.op == "heal":
-            manager.heal_server(event.server)
-        elif event.op == "rebalance":
-            counters["rebalance_moves"] += manager.rebalance(
-                max_moves=event.max_moves or 8
-            )
-        else:
-            raise ScenarioError(f"unknown scenario op {event.op!r}")
-        if options.maintain_moves:
-            counters["maintain_moves"] += manager.policy.maintain(
-                manager, max_moves=options.maintain_moves
-            )
-        if i in marks:
-            checkpoint = _measure(
-                built,
-                manager.clients,
-                manager.current_d(),
-                event_index=i,
-                time=event.time,
-                rejected=counters["rejected"],
-                loads=manager.loads(),
-                options=options,
-            )
-            if checkpoint is not None:
-                checkpoints.append(checkpoint)
-    elapsed = _time.perf_counter() - started
-    return ReplayResult(
-        scenario=scenario.name,
-        policy=policy,
-        path=options.path,
-        n_events=trace.n_events,
-        checkpoints=tuple(checkpoints),
-        counters=counters,
-        elapsed_seconds=elapsed,
-    )
+    stack = _build_stack(built, policy, options)
+    manager = stack[0]
+
+    def step(chunk, counters):
+        for event in chunk:
+            data = check_event(*stack, event.op, event.to_event_dict())
+            outcome, extras = apply_event(*stack, event.op, data, time=event.time)
+            _count(counters, event.op, outcome, extras)
+            if options.maintain_moves:
+                counters["maintain_moves"] += manager.policy.maintain(
+                    manager, max_moves=options.maintain_moves
+                )
+        return manager.clients, manager.current_d(), manager.loads()
+
+    return _replay_chunks(scenario, trace, built, policy, options, step)
 
 
 # ----------------------------------------------------------------------
@@ -393,84 +419,50 @@ def _replay_wire(
     policy: str,
     options: ReplayOptions,
 ) -> ReplayResult:
-    if trace.has_faults:
-        raise ScenarioError(
-            f"scenario {scenario.name!r} contains fault events; the wire "
-            f"path replays join/leave/rebalance scenarios only (fault "
-            f"outcomes depend on the service's degraded-mode queue, "
-            f"which the harness does not model)"
-        )
     from repro.resilience.checkpoint import decode_float
     from repro.service.client import ServiceClient
     from repro.service.server import ServerThread
 
     online = OnlineConfig(capacity=built.capacity, join_policy=policy)
     config = scenario.instance.session_config(online)
-    counters = {"rejected": 0, "skipped_leaves": 0, "rebalance_moves": 0}
-    marks = sorted(
-        _checkpoint_indices(trace.n_events, options.checkpoint_every)
-    )
-    connected: set = set()
-    checkpoints: List[Checkpoint] = []
-    started = _time.perf_counter()
-    with ServerThread() as (host, port):
-        with ServiceClient(host, port) as client:
-            opened = client.open_session(**config.to_dict())
-            session = opened["session"]
-            start = 0
-            for mark in marks:
-                chunk = trace.events[start : mark + 1]
-                start = mark + 1
-                replies = client.batch(
-                    session, [e.to_event_dict() for e in chunk]
+    # Joins the service admitted or queued, minus leaves and sheds; the
+    # connected set is this minus the still-queued backlog.
+    admitted: set = set()
+    with ServerThread() as (host, port), ServiceClient(host, port) as client:
+        session = client.open_session(**config.to_dict())["session"]
+
+        def step(chunk, counters):
+            replies = client.batch(session, [e.to_event_dict() for e in chunk])
+            for event, reply in zip(chunk, replies):
+                if "error" in reply:
+                    raise ScenarioError(
+                        f"scenario {scenario.name!r}: the service refused "
+                        f"{event.to_event_dict()}: {reply['error']['message']}"
+                    )
+                outcome = reply["outcome"]
+                _count(counters, event.op, outcome, reply)
+                if event.op == "join" and outcome in ("assigned", "queued"):
+                    admitted.add(event.node)
+                elif event.op == "leave":
+                    admitted.discard(event.node)
+                elif event.op == "crash":
+                    admitted.difference_update(reply["shed"])
+            stats = client.query(session, "stats")
+            connected = admitted.difference(
+                client.query(session, "backlog")["backlog"]
+            )
+            if len(connected) != stats["n_clients"]:
+                raise ScenarioError(
+                    f"scenario {scenario.name!r}: rebuilt {len(connected)} "
+                    f"connected clients at event {chunk[-1].seq}, but the "
+                    f"service serves {stats['n_clients']}"
                 )
-                for event, reply in zip(chunk, replies):
-                    outcome = reply.get("outcome")
-                    if event.op == "join":
-                        if outcome == "assigned":
-                            connected.add(event.node)
-                        else:
-                            counters["rejected"] += 1
-                    elif event.op == "leave":
-                        if event.node in connected:
-                            connected.discard(event.node)
-                        else:
-                            counters["skipped_leaves"] += 1
-                    elif event.op == "rebalance":
-                        counters["rebalance_moves"] += int(
-                            reply.get("moves", 0)
-                        )
-                stats = client.query(session, "stats")
-                d_value = stats["d"]
-                d_online = (
-                    decode_float(d_value)
-                    if isinstance(d_value, str)
-                    else float(d_value)
-                )
-                loads = np.asarray(stats.get("loads", []), dtype=np.int64)
-                checkpoint = _measure(
-                    built,
-                    sorted(connected),
-                    d_online,
-                    event_index=mark,
-                    time=trace.events[mark].time,
-                    rejected=counters["rejected"],
-                    loads=loads,
-                    options=options,
-                )
-                if checkpoint is not None:
-                    checkpoints.append(checkpoint)
-            client.close_session(session)
-    elapsed = _time.perf_counter() - started
-    return ReplayResult(
-        scenario=scenario.name,
-        policy=policy,
-        path="wire",
-        n_events=trace.n_events,
-        checkpoints=tuple(checkpoints),
-        counters=counters,
-        elapsed_seconds=elapsed,
-    )
+            loads = np.asarray(stats["loads"], dtype=np.int64)
+            return sorted(connected), decode_float(stats["d"]), loads
+
+        result = _replay_chunks(scenario, trace, built, policy, options, step)
+        client.close_session(session)
+    return result
 
 
 # ----------------------------------------------------------------------

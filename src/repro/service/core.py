@@ -28,14 +28,13 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.algorithms.online import OnlineConfig
 from repro.core import interaction_lower_bound
 from repro.errors import (
     BadRequestError,
-    CapacityError,
-    InvalidAssignmentError,
     InvalidParameterError,
     ReproError,
     ResilienceError,
@@ -46,7 +45,8 @@ from repro.errors import (
 from repro.net.latency import LatencyMatrix
 from repro.obs import fingerprint_matrix, registry
 from repro.resilience.checkpoint import encode_float, state_digest
-from repro.resilience.degrade import HEALTHY, DegradePolicy
+from repro.resilience.degrade import DegradePolicy
+from repro.resilience.events import EVENT_OPS, apply_event, check_event
 from repro.resilience.runtime import (
     DurabilityConfig,
     DurableRuntime,
@@ -54,11 +54,6 @@ from repro.resilience.runtime import (
 )
 from repro.service.protocol import OPS, error_reply, ok_reply, parse_request
 from repro._version import __version__
-
-#: Session event operations (allowed inside ``batch``).
-EVENT_OPS = frozenset(
-    {"join", "leave", "crash", "recover", "partition", "heal", "rebalance"}
-)
 
 #: Supported ``query`` targets.
 QUERY_WHATS = frozenset(
@@ -271,9 +266,9 @@ class ShardedSessionRuntime:
     """Volatile runtime for region-sharded sessions (``shards > 1``).
 
     Presents the slice of the :class:`~repro.resilience.runtime.
-    DurableRuntime` surface that :class:`Session` drives — join/leave/
-    rebalance with the same outcome vocabulary, the degraded-mode state
-    machine, queries, digests — over a
+    DurableRuntime` surface that :class:`Session` drives — ``apply``
+    with the shared event semantics of :mod:`repro.resilience.events`,
+    the degraded-mode state machine, queries, digests — over a
     :class:`~repro.scale.sharded.ShardedOnlineManager` instead of a
     single full-universe manager. Sharded sessions are **volatile
     only** (enforced by :class:`SessionConfig`): there is no WAL, no
@@ -298,7 +293,6 @@ class ShardedSessionRuntime:
         from repro.resilience.degrade import DegradeController
         from repro.scale.sharded import ShardedOnlineManager
 
-        self._matrix = matrix
         # Universe = every node, matching the unsharded manager's
         # default (a server node may host a client too).
         self._manager = ShardedOnlineManager(
@@ -378,76 +372,13 @@ class ShardedSessionRuntime:
         return state_digest(self.state_dict())
 
     # -- events --------------------------------------------------------
-    def join(self, node: int) -> str:
-        """Admit a client; returns ``"assigned"``/``"queued"``/``"rejected"``."""
+    def apply(self, op: str, data: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
+        """Check then apply one event (no failover controller, so
+        fault ops raise :class:`~repro.errors.SessionStateError`)."""
         self._require_open()
-        node = int(node)
-        if not 0 <= node < self._matrix.n_nodes:
-            raise InvalidAssignmentError(f"client node {node} out of range")
-        if self._manager.is_connected(node):
-            raise InvalidAssignmentError(f"client {node} already connected")
-        if self._degrade.in_backlog(node):
-            raise InvalidAssignmentError(f"client {node} already queued")
+        data = check_event(self._manager, None, self._degrade, op, data)
         self._applied_seq += 1
-        if self._degrade.state != HEALTHY:
-            outcome = self._degrade.admission_blocked(node, "degraded")
-        else:
-            try:
-                self._manager.join(node)
-                outcome = "assigned"
-            except CapacityError:
-                outcome = self._degrade.admission_blocked(
-                    node, "capacity-exhausted"
-                )
-        self._degrade.tick()
-        return outcome
-
-    def leave(self, node: int) -> str:
-        """Remove a client; returns ``"left"``/``"dequeued"``/``"absent"``."""
-        self._require_open()
-        node = int(node)
-        self._applied_seq += 1
-        if self._manager.is_connected(node):
-            self._manager.leave(node)
-            outcome = "left"
-        elif self._degrade.discard_queued(node):
-            outcome = "dequeued"
-        else:
-            registry().counter("resilience.absent_leaves").inc()
-            outcome = "absent"
-        self._degrade.tick()
-        return outcome
-
-    def rebalance(self, *, max_moves: int = 16) -> int:
-        """Bounded repair across shards; returns moves made."""
-        self._require_open()
-        if max_moves < 0:
-            raise InvalidParameterError(
-                f"max_moves must be >= 0, got {max_moves}"
-            )
-        self._applied_seq += 1
-        moves = self._manager.rebalance(max_moves=int(max_moves))
-        self._degrade.tick()
-        return moves
-
-    # -- unsupported fault events --------------------------------------
-    def _no_faults(self, op: str) -> "Any":
-        raise SessionStateError(
-            f"sharded sessions do not support server fault events "
-            f"({op}); open the session with shards=1 for fault testing"
-        )
-
-    def crash(self, server: int) -> Any:
-        return self._no_faults("crash")
-
-    def recover_server(self, server: int) -> Any:
-        return self._no_faults("recover")
-
-    def partition(self, servers: Any) -> Any:
-        return self._no_faults("partition")
-
-    def heal(self, servers: Any) -> Any:
-        return self._no_faults("heal")
+        return apply_event(self._manager, None, self._degrade, op, data)
 
     # -- lifecycle -----------------------------------------------------
     def _require_open(self) -> None:
@@ -509,55 +440,12 @@ class Session:
 
     def apply_event(self, op: str, params: Dict[str, Any]) -> Dict[str, Any]:
         """Apply one session event and build its reply envelope."""
-        runtime = self.runtime
-        if op == "join":
-            node = _require_int(params, "node")
-            outcome = runtime.join(node)
-            server = (
-                runtime.manager.server_of(node)
-                if outcome == "assigned"
-                else None
-            )
-            return self._event_envelope(op, outcome, server=server)
-        if op == "leave":
-            node = _require_int(params, "node")
-            return self._event_envelope(op, runtime.leave(node))
-        if op == "crash":
-            server = _require_int(params, "server")
-            record = runtime.crash(server)
-            return self._event_envelope(
-                op,
-                "crashed",
-                server=server,
-                evacuated=record.n_evacuated,
-                shed=[int(c) for c in record.shed],
-            )
-        if op == "recover":
-            server = _require_int(params, "server")
-            record = runtime.recover_server(server)
-            return self._event_envelope(
-                op,
-                "recovered",
-                server=server,
-                rebalance_moves=record.rebalance_moves,
-            )
-        if op == "partition":
-            servers = _require_int_list(params, "servers")
-            stale = runtime.partition(servers)
-            return self._event_envelope(
-                op, "partitioned", servers=servers, stale=[int(c) for c in stale]
-            )
-        if op == "heal":
-            servers = _require_int_list(params, "servers")
-            runtime.heal(servers)
-            return self._event_envelope(op, "healed", servers=servers)
-        if op == "rebalance":
-            max_moves = params.get("max_moves", 16)
-            if not isinstance(max_moves, int) or isinstance(max_moves, bool):
-                raise BadRequestError("'max_moves' must be an integer")
-            moves = runtime.rebalance(max_moves=max_moves)
-            return self._event_envelope(op, "rebalanced", moves=moves)
-        raise UnknownOperationError(f"unknown session event op {op!r}")
+        spec = _EVENT_FIELDS.get(op)
+        if spec is None:
+            raise UnknownOperationError(f"unknown session event op {op!r}")
+        key, require = spec
+        outcome, extras = self.runtime.apply(op, {key: require(params, key)})
+        return self._event_envelope(op, outcome, **extras)
 
     def query(self, what: str) -> Dict[str, Any]:
         """Read-only session introspection."""
@@ -622,8 +510,10 @@ class Session:
             self.runtime.close()
 
 
-def _require_int(params: Dict[str, Any], key: str) -> int:
-    value = params.get(key)
+def _require_int(
+    params: Dict[str, Any], key: str, default: Optional[int] = None
+) -> int:
+    value = params.get(key, default)
     if not isinstance(value, int) or isinstance(value, bool):
         raise BadRequestError(f"'{key}' must be an integer")
     return value
@@ -636,6 +526,18 @@ def _require_int_list(params: Dict[str, Any], key: str) -> List[int]:
     ):
         raise BadRequestError(f"'{key}' must be a non-empty list of integers")
     return [int(v) for v in value]
+
+
+#: Wire-input field and validator of each session event op.
+_EVENT_FIELDS = {
+    "join": ("node", _require_int),
+    "leave": ("node", _require_int),
+    "crash": ("server", _require_int),
+    "recover": ("server", _require_int),
+    "partition": ("servers", _require_int_list),
+    "heal": ("servers", _require_int_list),
+    "rebalance": ("max_moves", partial(_require_int, default=16)),
+}
 
 
 class AssignmentService:

@@ -36,29 +36,16 @@ from repro.errors import (
     ProtocolError,
     error_code,
 )
+from repro.resilience.events import EVENT_OPS
 
 #: Default cap on a single frame (request or reply), in bytes.
 MAX_FRAME_BYTES = 256 * 1024
 
 #: Operations the service implements (kept in sync with
 #: :meth:`repro.service.core.AssignmentService.handle`).
-OPS = frozenset(
-    {
-        "ping",
-        "open_session",
-        "close_session",
-        "list_sessions",
-        "join",
-        "leave",
-        "crash",
-        "recover",
-        "partition",
-        "heal",
-        "rebalance",
-        "query",
-        "batch",
-    }
-)
+OPS = EVENT_OPS | {
+    "ping", "open_session", "close_session", "list_sessions", "query", "batch"
+}
 
 
 def encode_frame(payload: Dict[str, Any]) -> bytes:

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.errors import (
+    BadRequestError,
     CapacityError,
     InvalidAssignmentError,
     InvalidParameterError,
@@ -97,7 +98,7 @@ class _Replayer:
         # Seq 1 is the runtime's "open" genesis record; events follow.
         self.seq = 1
 
-    # -- event semantics (mirrors DurableRuntime._apply_*) -------------
+    # -- event semantics (mirrors repro.resilience.events) -------------
     def apply(self, event: Dict[str, Any]) -> Dict[str, Any]:
         op = event.get("op")
         if op not in EVENT_OPS:
@@ -124,7 +125,7 @@ class _Replayer:
         return result
 
     def _apply_join(self, event: Dict[str, Any]) -> Dict[str, Any]:
-        node = int(event["node"])
+        node = _int_field(event, "node")
         if not 0 <= node < self.matrix.n_nodes:
             raise InvalidAssignmentError(f"client node {node} out of range")
         if self.manager.is_connected(node):
@@ -147,7 +148,7 @@ class _Replayer:
         return self._envelope("join", outcome, server=server)
 
     def _apply_leave(self, event: Dict[str, Any]) -> Dict[str, Any]:
-        node = int(event["node"])
+        node = _int_field(event, "node")
         if self.manager.is_connected(node):
             self.manager.leave(node)
             outcome = "left"
@@ -158,7 +159,7 @@ class _Replayer:
         return self._envelope("leave", outcome)
 
     def _apply_crash(self, event: Dict[str, Any]) -> Dict[str, Any]:
-        server = int(event["server"])
+        server = _int_field(event, "server")
         if not self.manager.is_active(server):
             raise InvalidParameterError(f"server {server} is already down")
         record = self.controller.on_crash(server, time=float(self.seq))
@@ -171,7 +172,7 @@ class _Replayer:
         )
 
     def _apply_recover(self, event: Dict[str, Any]) -> Dict[str, Any]:
-        server = int(event["server"])
+        server = _int_field(event, "server")
         if self.manager.is_active(server):
             raise InvalidParameterError(f"server {server} is already up")
         record = self.controller.on_recover(server, time=float(self.seq))
@@ -183,9 +184,7 @@ class _Replayer:
         )
 
     def _apply_partition(self, event: Dict[str, Any]) -> Dict[str, Any]:
-        servers = sorted(int(s) for s in event["servers"])
-        if not servers:
-            raise InvalidParameterError("partition needs at least one server")
+        servers = _int_list_field(event, "servers")
         for server in servers:
             if not self.manager.is_reachable(server):
                 raise InvalidParameterError(
@@ -202,9 +201,7 @@ class _Replayer:
         )
 
     def _apply_heal(self, event: Dict[str, Any]) -> Dict[str, Any]:
-        servers = sorted(int(s) for s in event["servers"])
-        if not servers:
-            raise InvalidParameterError("heal needs at least one server")
+        servers = _int_list_field(event, "servers")
         for server in servers:
             if self.manager.is_reachable(server):
                 raise InvalidParameterError(f"server {server} is reachable")
@@ -213,7 +210,13 @@ class _Replayer:
         return self._envelope("heal", "healed", servers=servers)
 
     def _apply_rebalance(self, event: Dict[str, Any]) -> Dict[str, Any]:
-        max_moves = int(event.get("max_moves", 16))
+        max_moves = event.get("max_moves", 16)
+        if not _is_int(max_moves):
+            raise BadRequestError("'max_moves' must be an integer")
+        if max_moves < 0:
+            raise InvalidParameterError(
+                f"max_moves must be >= 0, got {max_moves}"
+            )
         moves = self.manager.rebalance(max_moves=max_moves)
         return self._envelope("rebalance", "rebalanced", moves=moves)
 
@@ -265,6 +268,28 @@ class _Replayer:
             },
             "degrade": self.degrade.to_dict(),
         }
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_field(event: Dict[str, Any], key: str) -> int:
+    """The service's wire check for an integer event field."""
+    value = event.get(key)
+    if not _is_int(value):
+        raise BadRequestError(f"'{key}' must be an integer")
+    return value
+
+
+def _int_list_field(event: Dict[str, Any], key: str) -> List[int]:
+    """The service's wire check for a server-list field, sorted."""
+    value = event.get(key)
+    if not isinstance(value, list) or not value or not all(
+        _is_int(v) for v in value
+    ):
+        raise BadRequestError(f"'{key}' must be a non-empty list of integers")
+    return sorted(value)
 
 
 def replay_events(

@@ -6,7 +6,6 @@ from repro.datasets.synthetic import small_world_latencies
 from repro.errors import InvalidParameterError
 from repro.placement import random_placement
 from repro.resilience import (
-    ChaosEvent,
     DegradePolicy,
     chaos_workload,
     run_chaos,
@@ -38,31 +37,33 @@ class TestWorkload:
         server_set = set(int(s) for s in servers)
         connected, down, unreachable = set(), set(), set()
         for event in events:
-            if event.kind == "join":
-                assert event.node not in connected
-                assert event.node not in server_set
-                connected.add(event.node)
-            elif event.kind == "leave":
-                assert event.node in connected
-                connected.remove(event.node)
-            elif event.kind == "crash":
-                assert event.server not in down
-                down.add(event.server)
-            elif event.kind == "recover":
-                assert event.server in down
-                down.remove(event.server)
-            elif event.kind == "partition":
-                assert event.server not in unreachable
-                unreachable.add(event.server)
-            elif event.kind == "heal":
-                assert event.server in unreachable
-                unreachable.remove(event.server)
+            if event["op"] == "join":
+                assert event["node"] not in connected
+                assert event["node"] not in server_set
+                connected.add(event["node"])
+            elif event["op"] == "leave":
+                assert event["node"] in connected
+                connected.remove(event["node"])
+            elif event["op"] == "crash":
+                assert event["server"] not in down
+                down.add(event["server"])
+            elif event["op"] == "recover":
+                assert event["server"] in down
+                down.remove(event["server"])
+            elif event["op"] == "partition":
+                (server,) = event["servers"]
+                assert server not in unreachable
+                unreachable.add(server)
+            elif event["op"] == "heal":
+                (server,) = event["servers"]
+                assert server in unreachable
+                unreachable.remove(server)
             else:
-                pytest.fail(f"unexpected kind {event.kind}")
+                pytest.fail(f"unexpected kind {event['op']}")
 
     def test_includes_faults_by_default(self, matrix, servers):
         events = chaos_workload(matrix, servers, n_events=120, seed=0)
-        kinds = {e.kind for e in events}
+        kinds = {e["op"] for e in events}
         assert "join" in kinds and "leave" in kinds
         assert "crash" in kinds
 
@@ -132,8 +133,8 @@ class TestRunChaos:
             if u not in set(int(s) for s in servers)
         ]
         workload = tuple(
-            ChaosEvent("join", node=n) for n in nodes[:10]
-        ) + (ChaosEvent("leave", node=nodes[0]),)
+            {"op": "join", "node": n} for n in nodes[:10]
+        ) + ({"op": "leave", "node": nodes[0]},)
         report = run_chaos(
             matrix, servers, tmp_path, workload=workload, kill_points=(4,)
         )

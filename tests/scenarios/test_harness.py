@@ -4,15 +4,19 @@ from __future__ import annotations
 
 import pytest
 
+from repro.algorithms.online import OnlineConfig
 from repro.algorithms.policies import policy_names
 from repro.errors import InvalidParameterError, ScenarioError
 from repro.obs import MetricsRegistry, use_registry
 from repro.parallel import TrialPool, lower_bound_cache
+from repro.resilience.checkpoint import decode_float
 from repro.scenarios import (
     Checkpoint,
+    Drain,
     FlashCrowd,
     InstanceSpec,
     ReplayOptions,
+    RegionalOutage,
     ReplayResult,
     Scenario,
     bundled_scenario,
@@ -21,6 +25,7 @@ from repro.scenarios import (
     replay_scenario,
     scenario_names,
 )
+from repro.service.replay import replay_events
 
 FAST = ReplayOptions(checkpoint_every=64, offline_algorithm=None)
 
@@ -166,11 +171,21 @@ class TestWirePath:
         path="wire", checkpoint_every=64, offline_algorithm=None
     )
 
-    def test_rejects_fault_scenarios(self):
-        with pytest.raises(ScenarioError):
-            replay_scenario(
-                bundled_scenario("regional-outage"), "greedy", options=self.WIRE
-            )
+    def test_fault_scenario_matches_library(self):
+        scenario = bundled_scenario("regional-outage")
+        library = replay_scenario(
+            scenario,
+            "greedy",
+            options=ReplayOptions(
+                checkpoint_every=64, maintain_moves=0, offline_algorithm=None
+            ),
+        )
+        wire = replay_scenario(scenario, "greedy", options=self.WIRE)
+        assert [c.to_dict() for c in wire.checkpoints] == [
+            c.to_dict() for c in library.checkpoints
+        ]
+        assert wire.counters == library.counters
+        assert wire.counters["evacuated"] > 0
 
     def test_rejects_planet_instances(self):
         with pytest.raises(ScenarioError):
@@ -208,6 +223,73 @@ class TestWirePath:
             c.ratio for c in library.checkpoints
         ]
         check_ratios(wire)
+
+
+def _two_phase(capacity: int, *segments) -> Scenario:
+    """60 Meridian clients on 4 servers: a 56-join flash crowd, then
+    ``segments`` (a crash or a drain)."""
+    return Scenario(
+        name="served-semantics",
+        instance=InstanceSpec(
+            kind="meridian", n_clients=60, n_servers=4, seed=6,
+            capacity=capacity,
+        ),
+        segments=(FlashCrowd(start=0.0, duration=6.0, joins=56),) + segments,
+        seed=19,
+    )
+
+
+EVERY_EVENT = dict(checkpoint_every=1, offline_algorithm=None)
+
+
+class TestServedSemantics:
+    """Every harness path replays the semantics the service serves."""
+
+    def test_crash_sheds_only_the_overflow_on_every_path(self):
+        # Server 0 holds 16 clients and the survivors have 8 free
+        # slots: 8 evacuate, the 8 farthest are shed.
+        scenario = _two_phase(16, RegionalOutage(server=0, start=8.0, duration=20.0))
+        library = replay_scenario(
+            scenario, "greedy", options=ReplayOptions(maintain_moves=0, **EVERY_EVENT)
+        )
+        wire = replay_scenario(
+            scenario, "greedy", options=ReplayOptions(path="wire", **EVERY_EVENT)
+        )
+        built = scenario.instance.build()
+        trace = scenario.compile(built)
+        config = scenario.instance.session_config(
+            OnlineConfig(capacity=16, join_policy="greedy")
+        )
+        oracle = replay_events(
+            built.provider, config, [e.to_event_dict() for e in trace.events]
+        ).trajectory
+        assert library.counters["evacuated"] == 8
+        assert library.counters["shed"] == 8
+        assert wire.counters == library.counters
+        assert len(library.checkpoints) == trace.n_events
+        for lib, wired, served in zip(
+            library.checkpoints, wire.checkpoints, oracle
+        ):
+            assert lib.to_dict() == wired.to_dict()
+            assert lib.n_connected == served["clients"]
+            assert lib.d_online == decode_float(served["d"])
+
+    def test_wire_counts_clients_admitted_from_the_backlog(self):
+        # Capacity 12 queues 8 of the 56 joins; the drain's leaves free
+        # slots that admit them from the backlog.
+        scenario = _two_phase(12, Drain(start=8.0, duration=4.0, leaves=16))
+        library = replay_scenario(
+            scenario, "greedy", options=ReplayOptions(maintain_moves=0, **EVERY_EVENT)
+        )
+        wire = replay_scenario(
+            scenario, "greedy", options=ReplayOptions(path="wire", **EVERY_EVENT)
+        )
+        assert [c.to_dict() for c in wire.checkpoints] == [
+            c.to_dict() for c in library.checkpoints
+        ]
+        assert wire.counters == library.counters
+        assert library.counters["rejected"] == 8
+        assert library.final.n_connected == 40
 
 
 def _strip_timing(result: ReplayResult) -> dict:

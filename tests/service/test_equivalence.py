@@ -125,6 +125,37 @@ class TestInProcessEquivalence:
             assert lib.outcomes.get(outcome, 0) > 0, lib.outcomes
 
 
+class TestMalformedEvents:
+    """Events the service refuses at the wire boundary must be refused
+    by the library replayer too, with the same code and message, and
+    must leave both states untouched."""
+
+    MALFORMED = [
+        {"op": "rebalance", "max_moves": -1},
+        {"op": "rebalance", "max_moves": True},
+        {"op": "partition", "servers": []},
+        {"op": "join", "node": 1.5},
+        {"op": "join", "node": "7"},
+    ]
+
+    def test_malformed_events_match_service(self):
+        config = CONFIG_OFF
+        matrix = config.build_matrix()
+        events = _events(config.resolve_servers(matrix), n_events=400)
+        mixed = []
+        for i, event in enumerate(events):
+            mixed.append(event)
+            if i % 80 == 40:
+                mixed.extend(self.MALFORMED)
+        lib = replay_events(matrix, config, mixed)
+        traj, digest, _ = _service_run(config, mixed)
+        assert digest == lib.digest
+        assert _canonical(traj) == _canonical(lib.trajectory)
+        errors = [e["error"]["code"] for e in lib.trajectory if "error" in e]
+        assert errors.count("invalid-parameter") >= 5
+        assert errors.count("bad-request") >= 20
+
+
 class TestWireEquivalence:
     def test_wire_matches_library(self, library_baseline):
         config, events, lib = library_baseline
