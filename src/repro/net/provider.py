@@ -245,9 +245,9 @@ class CoordinateProvider:
             d = d * self._scale
         if self._heights is not None:
             d = d + self._heights[rows][:, None] + self._heights[cols][None, :]
+        # Flooring the diagonal too is harmless: it is zeroed next.
+        np.maximum(d, self._min_latency, out=d)
         same = rows[:, None] == cols[None, :]
-        off = ~same
-        d[off] = np.maximum(d[off], self._min_latency)
         if same.any():
             d[same] = 0.0
         metrics = registry()

@@ -32,7 +32,8 @@ dense ``|C| x |S|`` block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from functools import lru_cache
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -43,6 +44,52 @@ from repro.types import IndexArrayLike, as_index_array
 
 #: Default number of clients whose profiles are synthesized per chunk.
 DEFAULT_CHUNK_SIZE = 65536
+
+
+@lru_cache(maxsize=None)
+def _mixing_vector(width: int) -> np.ndarray:
+    """``width`` fixed odd int64 multipliers for :func:`_dedup_cells`.
+
+    Column ``i`` gets the splitmix64 finalizer of ``i + 1``: a constant
+    of the module, not a parameter, so cell keys never depend on the
+    caller.
+    """
+    z = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    mix = (z | np.uint64(1)).view(np.int64)
+    mix.setflags(write=False)
+    return mix
+
+
+def _dedup_rows(quantized: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact row-wise dedup: ``(first, inverse)`` of the distinct rows."""
+    _cells, first, inverse = np.unique(
+        quantized, axis=0, return_index=True, return_inverse=True
+    )
+    return first, inverse.reshape(-1)
+
+
+def _dedup_cells(quantized: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Partition the rows of ``quantized`` into distinct cells.
+
+    Returns ``(first, inverse)``: ``first[j]`` is the first row of cell
+    ``j`` and ``inverse[i]`` the cell of row ``i``. Each row is keyed by
+    one wrapping int64 dot product with :func:`_mixing_vector`, so a
+    1-D sort replaces the row-wise sort of ``np.unique(axis=0)``. The
+    partition is then verified exactly — every row must equal its
+    cell's first row — and a key collision falls back to the row-wise
+    dedup. Cell numbering differs between the two, but the caller only
+    relies on ``first`` and ``inverse`` agreeing, so results do not.
+    """
+    keys = quantized @ _mixing_vector(quantized.shape[1])
+    _keys, first, inverse = np.unique(
+        keys, return_index=True, return_inverse=True
+    )
+    if np.array_equal(quantized, quantized[first[inverse]]):
+        return first, inverse
+    return _dedup_rows(quantized)
 
 
 @dataclass(frozen=True)
@@ -133,8 +180,11 @@ def build_coreset(
         )
     server_arr = as_index_array(servers, "servers")
     client_arr = as_index_array(clients, "clients")
+    if server_arr.size == 0:
+        raise InvalidParameterError("need at least one server")
     if client_arr.size == 0:
         raise InvalidParameterError("need at least one client")
+    n_servers = int(server_arr.size)
 
     #: quantized-profile bytes -> group index
     groups: Dict[bytes, int] = {}
@@ -145,46 +195,48 @@ def build_coreset(
 
     for start in range(0, client_arr.size, chunk_size):
         block = client_arr[start : start + chunk_size]
-        cs = provider.client_server_distances(block, server_arr)
-        sc = provider.server_client_distances(server_arr, block)
         # (B, 2|S|) profiles in float64 so quantization cannot alias
-        # across dtypes.
-        profiles = np.concatenate(
-            [np.asarray(cs, dtype=np.float64),
-             np.asarray(sc, dtype=np.float64).T],
-            axis=1,
+        # across dtypes; filled in place so neither block outlives its
+        # copy.
+        profiles = np.empty((block.size, 2 * n_servers), dtype=np.float64)
+        profiles[:, :n_servers] = provider.client_server_distances(
+            block, server_arr
         )
+        profiles[:, n_servers:] = provider.server_client_distances(
+            server_arr, block
+        ).T
         quantized = np.floor(profiles / cell_size).astype(np.int64)
-        # Dedup within the chunk first (one sort), then resolve each
-        # distinct cell against the global dictionary — the per-row
-        # Python cost scales with distinct cells, not clients.
-        # return_index points at the *first* chunk member of each cell,
-        # and iterating distinct cells by that first occurrence (not in
-        # np.unique's sorted-cell order) numbers new groups in global
+        # Dedup within the chunk first, then resolve each distinct cell
+        # against the global dictionary — the per-row Python cost
+        # scales with distinct cells, not clients. ``first`` points at
+        # the *first* chunk member of each cell, and iterating distinct
+        # cells by that first occurrence numbers new groups in global
         # first-encounter order, keeping representatives, labels and
         # weights identical to a naive one-pass scan for every
         # chunk_size.
-        cells, first, inverse = np.unique(
-            quantized, axis=0, return_index=True, return_inverse=True
-        )
-        cell_to_group = np.empty(cells.shape[0], dtype=np.int64)
+        first, inverse = _dedup_cells(quantized)
+        cell_to_group = np.empty(first.size, dtype=np.int64)
         for j in np.argsort(first):
-            key = cells[j].tobytes()
+            member = int(first[j])
+            key = quantized[member].tobytes()
             group = groups.get(key)
             if group is None:
                 group = len(rep_nodes)
                 groups[key] = group
-                member = int(first[j])
                 rep_nodes.append(int(block[member]))
-                rep_profiles.append(profiles[member])
+                # A copy, not a row view: a view would keep the whole
+                # chunk's profile block alive for the rest of the build.
+                rep_profiles.append(profiles[member].copy())
             cell_to_group[j] = group
-        chunk_labels = cell_to_group[inverse.reshape(-1)]
+        chunk_labels = cell_to_group[inverse]
         labels[start : start + block.size] = chunk_labels
         # Achieved deviation, vectorized per chunk: every member against
-        # its representative's profile.
-        reps = np.asarray(rep_profiles)
-        deviation = np.abs(profiles - reps[chunk_labels]).max(initial=0.0)
-        epsilon = max(epsilon, float(deviation))
+        # its representative's profile, in place (|rep - p| is bitwise
+        # |p - rep|).
+        deviation = np.asarray(rep_profiles)[chunk_labels]
+        deviation -= profiles
+        np.abs(deviation, out=deviation)
+        epsilon = max(epsilon, float(deviation.max(initial=0.0)))
 
     representatives = np.asarray(rep_nodes, dtype=np.int64)
     weights = np.bincount(labels, minlength=representatives.size).astype(

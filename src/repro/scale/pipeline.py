@@ -94,22 +94,59 @@ def expanded_objective(
     client chunks, then reduces ``max l_out[s1] + d(s1, s2) + l_in[s2]``
     over used servers — the same decomposition as
     :func:`repro.core.metrics.max_interaction_path_length`, without ever
-    holding a ``|C| x |S|`` block.
+    holding a ``|C| x |S|`` block. Each client needs only its own
+    server's two legs, so every chunk is grouped by server and only the
+    ``(members, [s])`` and ``([s], members)`` blocks are synthesized:
+    O(|C|) latencies in all, not O(|C| |S|).
+
+    ``server_of[i]`` must be a local server index in ``[0, |S|)`` for
+    each of the ``|C|`` clients; anything else raises
+    :class:`~repro.errors.InvalidParameterError`.
     """
-    n_servers = int(servers.size)
+    server_arr = np.asarray(servers, dtype=np.int64)
+    client_arr = np.asarray(clients, dtype=np.int64)
+    n_servers = int(server_arr.size)
+    if n_servers == 0:
+        raise InvalidParameterError("need at least one server")
+    if client_arr.size == 0:
+        raise InvalidParameterError("need at least one client")
+    if chunk_size < 1:
+        raise InvalidParameterError(
+            f"chunk_size must be >= 1, got {chunk_size}"
+        )
+    server_of = np.asarray(server_of)
+    if server_of.shape != (client_arr.size,) or not np.issubdtype(
+        server_of.dtype, np.integer
+    ):
+        raise InvalidParameterError(
+            f"expected one integer server index per client "
+            f"({client_arr.size}), got {server_of.dtype} array of "
+            f"shape {server_of.shape}"
+        )
+    low, high = int(server_of.min()), int(server_of.max())
+    if low < 0 or high >= n_servers:
+        raise InvalidParameterError(
+            f"server indices must lie in [0, {n_servers}), "
+            f"got [{low}, {high}]"
+        )
     l_out = np.full(n_servers, -np.inf)
     l_in = np.full(n_servers, -np.inf)
-    for start in range(0, clients.size, chunk_size):
-        block = clients[start : start + chunk_size]
+    for start in range(0, client_arr.size, chunk_size):
+        block = client_arr[start : start + chunk_size]
         assigned = server_of[start : start + block.size]
-        rows = np.arange(block.size)
-        cs = provider.client_server_distances(block, servers)
-        np.maximum.at(l_out, assigned, np.asarray(cs[rows, assigned], dtype=np.float64))
-        sc = provider.server_client_distances(servers, block)
-        np.maximum.at(l_in, assigned, np.asarray(sc[assigned, rows], dtype=np.float64))
+        counts = np.bincount(assigned, minlength=n_servers)
+        bounds = np.concatenate(([0], np.cumsum(counts)))
+        order = np.argsort(assigned)
+        for s in np.flatnonzero(counts):
+            members = block[order[bounds[s] : bounds[s + 1]]]
+            target = server_arr[s : s + 1]
+            cs = provider.client_server_distances(members, target)
+            sc = provider.server_client_distances(target, members)
+            l_out[s] = max(l_out[s], float(cs.max()))
+            l_in[s] = max(l_in[s], float(sc.max()))
     used = np.flatnonzero(np.isfinite(l_out))
     ss = np.asarray(
-        provider.server_server_distances(servers), dtype=np.float64
+        provider.server_server_distances(server_arr), dtype=np.float64
     )
     sub = ss[np.ix_(used, used)]
     totals = l_out[used][:, None] + sub + l_in[used][None, :]

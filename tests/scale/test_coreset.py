@@ -11,6 +11,7 @@ from repro.datasets import planet_instance
 from repro.datasets.synthetic import small_world_latencies
 from repro.errors import InvalidParameterError
 from repro.scale import build_coreset, expanded_objective
+from repro.scale import coreset as coreset_module
 
 
 @pytest.fixture
@@ -133,6 +134,45 @@ def test_invalid_parameters(dense_instance):
         build_coreset(matrix, servers, clients, cell_size=0.0)
     with pytest.raises(InvalidParameterError):
         build_coreset(matrix, servers, np.array([], dtype=np.int64), cell_size=5.0)
+    with pytest.raises(InvalidParameterError, match="need at least one server"):
+        build_coreset(matrix, np.array([], dtype=np.int64), clients, cell_size=5.0)
+
+
+def test_key_collision_falls_back_to_exact_rows(monkeypatch):
+    """A mixing vector that keys every cell alike forces the collision
+    branch; the exact fallback must give the identical coreset."""
+    instance = planet_instance(3000, 8, n_clusters=16, seed=11)
+
+    def build():
+        return build_coreset(
+            instance.provider,
+            instance.servers,
+            instance.clients,
+            cell_size=8.0,
+            chunk_size=257,
+        )
+
+    expected = build()
+    fallbacks = []
+    exact = coreset_module._dedup_rows
+
+    def counting(quantized):
+        fallbacks.append(quantized.shape[0])
+        return exact(quantized)
+
+    monkeypatch.setattr(
+        coreset_module,
+        "_mixing_vector",
+        lambda width: np.zeros(width, dtype=np.int64),
+    )
+    monkeypatch.setattr(coreset_module, "_dedup_rows", counting)
+    collided = build()
+    # Every chunk holds more than one cell, so every chunk collided.
+    assert len(fallbacks) == -(-instance.clients.size // 257)
+    assert np.array_equal(collided.representatives, expected.representatives)
+    assert np.array_equal(collided.labels, expected.labels)
+    assert np.array_equal(collided.weights, expected.weights)
+    assert collided.epsilon == expected.epsilon
 
 
 def test_coreset_arrays_are_readonly(dense_instance):

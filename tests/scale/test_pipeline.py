@@ -63,6 +63,71 @@ def test_expanded_objective_is_exact():
         assert expanded_objective(
             matrix, servers, clients, server_of, chunk_size=chunk_size
         ) == pytest.approx(dense_d)
+        assert expanded_objective(
+            matrix, servers, clients, server_of, chunk_size=chunk_size
+        ) == _full_block_objective(
+            matrix, servers, clients, server_of, chunk_size=chunk_size
+        )
+    # Coordinate provider with heights; server 3 has exactly one member.
+    planet = planet_instance(300, 5, n_clusters=8, seed=2)
+    server_of = np.random.default_rng(3).integers(0, 3, size=300)
+    server_of[17] = 3
+    for chunk_size in (7, 46, 1000):
+        assert expanded_objective(
+            planet.provider,
+            planet.servers,
+            planet.clients,
+            server_of,
+            chunk_size=chunk_size,
+        ) == _full_block_objective(
+            planet.provider,
+            planet.servers,
+            planet.clients,
+            server_of,
+            chunk_size=chunk_size,
+        )
+
+
+def _full_block_objective(provider, servers, clients, server_of, *, chunk_size):
+    """Reference: synthesize full ``(chunk, |S|)`` blocks in both
+    directions and read each client's own server's entries."""
+    l_out = np.full(servers.size, -np.inf)
+    l_in = np.full(servers.size, -np.inf)
+    for start in range(0, clients.size, chunk_size):
+        block = clients[start : start + chunk_size]
+        assigned = server_of[start : start + block.size]
+        rows = np.arange(block.size)
+        cs = provider.client_server_distances(block, servers)
+        np.maximum.at(l_out, assigned, np.asarray(cs[rows, assigned], dtype=np.float64))
+        sc = provider.server_client_distances(servers, block)
+        np.maximum.at(l_in, assigned, np.asarray(sc[assigned, rows], dtype=np.float64))
+    used = np.flatnonzero(np.isfinite(l_out))
+    ss = np.asarray(provider.server_server_distances(servers), dtype=np.float64)
+    totals = l_out[used][:, None] + ss[np.ix_(used, used)] + l_in[used][None, :]
+    return float(totals.max())
+
+
+@pytest.mark.parametrize(
+    "server_of",
+    [
+        np.full(200, -1, dtype=np.int64),
+        np.zeros(205, dtype=np.int64),
+        np.zeros(195, dtype=np.int64),
+        np.full(200, 4, dtype=np.int64),
+        np.zeros(200, dtype=np.float64),
+        np.zeros((200, 1), dtype=np.int64),
+    ],
+    ids=["negative", "too-long", "too-short", "past-last-server",
+         "not-integer", "two-dimensional"],
+)
+def test_expanded_objective_rejects_bad_assignments(server_of):
+    """Wrapping negative indices, ignored extra entries and a bare
+    IndexError on short input all become InvalidParameterError."""
+    planet = planet_instance(200, 4, n_clusters=8, seed=0)
+    with pytest.raises(InvalidParameterError):
+        expanded_objective(
+            planet.provider, planet.servers, planet.clients, server_of
+        )
 
 
 def test_coordinate_and_dense_providers_agree(instance):
@@ -179,6 +244,28 @@ def test_invalid_parameters(instance):
             cell_size=10.0,
             chunk_size=0,
         )
+    with pytest.raises(InvalidParameterError, match="need at least one server"):
+        solve_at_scale(
+            instance.provider,
+            np.array([], dtype=np.int64),
+            instance.clients,
+            cell_size=10.0,
+        )
+    none = np.array([], dtype=np.int64)
+    server_of = np.zeros(instance.n_clients, dtype=np.int64)
+    for servers, clients, chunk_size in (
+        (none, instance.clients, 65536),
+        (instance.servers, none, 65536),
+        (instance.servers, instance.clients, 0),
+    ):
+        with pytest.raises(InvalidParameterError):
+            expanded_objective(
+                instance.provider,
+                servers,
+                clients,
+                server_of[: clients.size],
+                chunk_size=chunk_size,
+            )
 
 
 def test_publish_reduced_views_round_trip(instance):
