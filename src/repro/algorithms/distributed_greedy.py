@@ -37,14 +37,14 @@ retains the O(|C| + |S|^2)-per-candidate path for equivalence testing
 and benchmarking; both produce the same replies and hence the same
 modification trace.
 
-The longest-path candidates of each round come from the same engine.
+The longest-path candidates of each round come from the same engine
+(:meth:`~repro.core.incremental.IncrementalObjective.longest_path_clients`).
 A client ``c`` is a candidate when ``d(c, s_A(c)) + best_in[s_A(c)]``
-or ``best_out[s_A(c)] + d(s_A(c), c)`` reaches D, and D and the
-best-completion reductions are already cached in the engine. The two
-per-client legs are float64 arrays updated at the single move site, so
-a round costs O(|C|) plus at most one O(|S|^2) reduction refresh that
-the replies would need anyway. The sums, the tolerance and the
-ascending client order are those of
+or ``best_out[s_A(c)] + d(s_A(c), c)`` reaches D. The engine finds the
+servers that can hold one with an O(|S|) test on its cached ``l``
+vectors and reductions, then walks only those servers' descending top-k
+lists, so a round rarely touches all |C| clients. The sums, the
+tolerance and the ascending client order are those of
 :func:`~repro.core.metrics.clients_on_longest_paths`, which
 ``evaluator="recompute"`` still calls as the oracle.
 
@@ -131,27 +131,6 @@ def _candidate_lengths_recompute(
     return np.maximum(l_candidates, cs[c, :] + sc[:, c])
 
 
-def _longest_path_clients(
-    engine: IncrementalObjective,
-    server_of: np.ndarray,
-    leg_out: np.ndarray,
-    leg_in: np.ndarray,
-    d_max: float,
-) -> np.ndarray:
-    """:func:`~repro.core.metrics.clients_on_longest_paths` from engine state.
-
-    ``leg_out[c] = d(c, s_A(c))`` and ``leg_in[c] = d(s_A(c), c)`` in
-    float64, ``d_max`` the engine's D; the best completions are the
-    engine's cached reductions. Same sums, same comparisons (with that
-    function's default tolerance) and the same ascending client order.
-    """
-    threshold = d_max - 1e-9
-    best_to, best_from = engine.server_reductions()
-    as_issuer = leg_out + best_to[server_of]
-    as_receiver = best_from[server_of] + leg_in
-    return np.flatnonzero((as_issuer >= threshold) | (as_receiver >= threshold))
-
-
 @register_detailed("distributed-greedy")
 def distributed_greedy_detailed(
     problem: ClientAssignmentProblem,
@@ -212,11 +191,6 @@ def distributed_greedy_detailed(
 
     if incremental:
         d_current = engine.d()
-        # Each client's legs to and from its server, kept current at the
-        # single move site below.
-        clients = np.arange(problem.n_clients)
-        leg_out = problem.client_server[clients, server_of].astype(np.float64)
-        leg_in = problem.server_client[server_of, clients].astype(np.float64)
     else:
         d_current = max_interaction_path_length(current_assignment())
     trace: List[float] = [d_current]
@@ -234,9 +208,7 @@ def distributed_greedy_detailed(
     ):
         while len(trace) - 1 < max_modifications:
             if incremental:
-                candidates = _longest_path_clients(
-                    engine, server_of, leg_out, leg_in, d_current
-                )
+                candidates = engine.longest_path_clients()
             else:
                 candidates = clients_on_longest_paths(current_assignment())
             moved = False
@@ -275,8 +247,6 @@ def distributed_greedy_detailed(
                     if incremental:
                         engine.apply(c, best_server)
                         d_current = engine.d()
-                        leg_out[c] = problem.client_server[c, best_server]
-                        leg_in[c] = problem.server_client[best_server, c]
                     else:
                         d_current = max_interaction_path_length(
                             current_assignment()

@@ -126,7 +126,8 @@ class _TopList:
     """Sorted (descending) list of up to ``k`` (distance, client) pairs.
 
     Invariant: every member *not* in the list has distance <= ``bound``,
-    the largest distance ever skipped or evicted since the last rebuild.
+    the largest distance ever skipped, evicted or left out of a batch
+    since the last rebuild.
     The head is therefore the true per-server maximum whenever
     ``head() >= bound``; when churn pushes the usable entries below the
     watermark the owner rebuilds the list from ground truth. (Tracking
@@ -508,6 +509,50 @@ class IncrementalObjective:
             )
         return self._d
 
+    def longest_path_clients(self) -> np.ndarray:
+        """Assigned clients on some longest interaction path, ascending.
+
+        Distributed-Greedy's candidates (§IV-D step 2): the client ``c``
+        at server ``s`` qualifies when ``d(c, s) + best_in[s]`` or
+        ``best_out[s] + d(s, c)`` reaches ``D - 1e-9`` — the sums, the
+        tolerance and the order of
+        :func:`~repro.core.metrics.clients_on_longest_paths`. Rounded
+        addition is monotone, so only servers whose own
+        ``l_out[s] + best_in[s]`` or ``best_out[s] + l_in[s]`` reaches the
+        threshold hold candidates, and there the qualifying listed
+        members of each direction are a prefix of its descending top-k
+        list. Unlisted members are bounded by the list's watermark; only
+        when that reaches the threshold too are the server's members
+        scanned.
+        """
+        threshold = self.d() - 1e-9
+        reductions = self._server_reduction_cache()
+        best_in, best_out = reductions[0], reductions[3]
+        hot = (self._l_out + best_in >= threshold) | (
+            best_out + self._l_in >= threshold
+        )
+        found: List[int] = []
+        scanned: List[np.ndarray] = []
+        for s in np.flatnonzero(hot).tolist():
+            for top, b, outgoing in (
+                (self._top_out[s], float(best_in[s]), True),
+                (self._top_in[s], float(best_out[s]), False),
+            ):
+                if top.head() + b < threshold:
+                    continue
+                if self._loads[s] > len(top) and top.bound + b >= threshold:
+                    # An unlisted member may qualify: scan them all.
+                    members = self._members(s)
+                    legs = self._cs[members, s] if outgoing else self._sc[s, members]
+                    scanned.append(members[legs.astype(np.float64) + b >= threshold])
+                    continue
+                for neg_dist, client in zip(top.neg_dists, top.clients):
+                    if -neg_dist + b < threshold:
+                        break
+                    found.append(client)
+        scanned.append(np.asarray(found, dtype=np.int64))
+        return np.unique(np.concatenate(scanned))
+
     def _context(self, client: int) -> _MoveContext:
         """The per-client quantities shared by every destination."""
         ctx = self._ctx
@@ -787,15 +832,15 @@ class IncrementalObjective:
         self._n_assigned += int(batch.size)
         out = self._cs[batch, server]
         inn = self._sc[server, batch]
-        # Merge the batch into the retained top-k lists.
+        # Merge the batch into the retained top-k lists. Members left out
+        # of a list raise its watermark, as an eviction would.
         top_out, top_in = self._top_out[server], self._top_in[server]
         if batch.size > self._k:
-            keep = np.argpartition(-out, self._k - 1)[: self._k]
-            for i in keep:
-                top_out.add(float(out[i]), int(batch[i]))
-            keep = np.argpartition(-inn, self._k - 1)[: self._k]
-            for i in keep:
-                top_in.add(float(inn[i]), int(batch[i]))
+            for top, dists in ((top_out, out), (top_in, inn)):
+                part = np.argpartition(-dists, self._k - 1)
+                for i in part[: self._k]:
+                    top.add(float(dists[i]), int(batch[i]))
+                top.bound = max(top.bound, float(dists[part[self._k :]].max()))
         else:
             for i in range(batch.size):
                 top_out.add(float(out[i]), int(batch[i]))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.net.latency import LatencyMatrix
+from repro.net.latency import LatencyMatrix, pairwise_euclidean
 from repro.net.topology import clustered_points
 from repro.utils.rng import SeedLike, ensure_rng
 
@@ -109,12 +109,13 @@ class InternetLatencyModel:
             cluster_spread=self.cluster_spread,
             seed=rng,
         )
-        diff = points[:, None, :] - points[None, :, :]
-        base = np.sqrt((diff**2).sum(axis=2)) * self.geo_scale
+        base = pairwise_euclidean(points, points)
+        base *= self.geo_scale
 
         # Per-host additive access delay, applied on both endpoints.
         access = rng.exponential(self.access_delay_mean, size=n)
-        base = base + access[:, None] + access[None, :]
+        base += access[:, None]
+        base += access[None, :]
 
         # Per-pair multiplicative lognormal measurement noise.
         if self.noise_sigma > 0:
@@ -138,9 +139,8 @@ class InternetLatencyModel:
         if self.symmetric:
             base = (base + base.T) / 2.0
 
+        np.maximum(base, self.min_latency, out=base)
         np.fill_diagonal(base, 0.0)
-        off = ~np.eye(n, dtype=bool)
-        base[off] = np.maximum(base[off], self.min_latency)
 
         if self.missing_fraction > 0:
             missing = rng.uniform(size=(n, n)) < self.missing_fraction
@@ -182,8 +182,8 @@ def small_world_latencies(
     """
     rng = ensure_rng(seed)
     coords = rng.uniform(0.0, 1.0, size=(n, 3))
-    diff = coords[:, None, :] - coords[None, :, :]
-    d = np.sqrt((diff**2).sum(axis=2)) * scale
+    d = pairwise_euclidean(coords, coords)
+    d *= scale
     d = d * rng.lognormal(0.0, 0.15, size=(n, n))
     d = (d + d.T) / 2.0
     np.fill_diagonal(d, 0.0)

@@ -20,8 +20,10 @@ heuristic's candidate scoring through four hot loops:
 Two interchangeable implementations exist:
 
 - :mod:`repro.kernels.numpy_backend` — the pure-numpy **twin**. Its
-  code is the exact numpy the engine historically inlined, so selecting
-  it reproduces the pre-kernel engine byte for byte.
+  outputs are bit-identical to the numpy the engine historically
+  inlined, so selecting it reproduces the pre-kernel engine byte for
+  byte (``tests/core/test_kernel_oracles.py`` checks the rewritten
+  bodies against the historical ones).
 - :mod:`repro.kernels.numba_backend` — ``@njit``-compiled loops.
   numba is imported lazily, only when this backend is requested (or
   picked by ``"auto"``); ``import repro`` never requires it.

@@ -1,15 +1,17 @@
-"""Pure-numpy kernel twin — the engine's historical inline code.
+"""Pure-numpy kernel twin — the engine's reference backend.
 
-Every function here is a verbatim extraction of the numpy the
-incremental engine ran before the kernel seam existed. That makes this
-backend the **reference implementation**: selecting it (or running
-without numba installed) reproduces the pre-kernel engine byte for
-byte, which the regression tests pin against golden walk values.
+Every function here is bit-identical to the numpy the incremental
+engine ran before the kernel seam existed: same values, same dtypes,
+same tie-breaking. That makes this backend the **reference
+implementation**: selecting it (or running without numba installed)
+reproduces the pre-kernel engine byte for byte, which the regression
+tests pin against golden walk values.
 
-Do not "optimize" these bodies — equivalence to the old engine *is*
-their specification. Raw-speed work belongs in
-:mod:`repro.kernels.numba_backend` (or a future compiled backend),
-gated by the parity suite.
+A body may be rewritten for speed only if its outputs stay
+bit-identical. ``tests/core/test_kernel_oracles.py`` keeps the
+historical bodies of :func:`reduction_top2` and
+:func:`objective_refresh` as oracles and checks the current ones
+against them on tie-heavy, float32-derived and ``-inf`` inputs.
 """
 
 from __future__ import annotations
@@ -26,11 +28,13 @@ def objective_refresh(
 
     Callers guarantee at least one server is used (finite ``l_out``).
     Same reduction — and the same floating point association — as
-    :func:`repro.core.metrics.max_interaction_path_length`.
+    :func:`repro.core.metrics.max_interaction_path_length`. Unused
+    servers hold ``-inf`` in both vectors and latencies are finite, so
+    their terms are ``-inf`` and the full matrix has the used block's
+    maximum.
     """
-    used = np.flatnonzero(np.isfinite(l_out))
-    sub = ss[np.ix_(used, used)]
-    totals = l_out[used][:, None] + sub + l_in[used][None, :]
+    totals = l_out[:, None] + ss
+    totals += l_in[None, :]
     return float(totals.max())
 
 
@@ -43,28 +47,26 @@ def reduction_top2(
     ``best_out[s'] = max_s l_out[s] + d(s, s')``, each with its runner-up
     and the argmax of the leader, so excluding one server's column later
     costs O(1) per row. Ties resolve to the highest server index (the
-    tail of a stable ascending argsort), matching the engine's original
-    behavior.
+    tail of a stable ascending argsort, the engine's original
+    behavior). Both directions' terms are laid out as rows in
+    descending server order, so one ``argmax`` (first maximum) per row
+    finds the leader; the runner-up is the first maximum once the
+    leader's entry is set to ``-inf`` (so ``-inf`` for one server).
     """
-    n_servers = ss.shape[0]
-    in_terms = ss + l_in[None, :]  # (S, S): term[s', s]
-    out_terms = l_out[:, None] + ss  # (S, S): term[s, s']
-    order_in = np.argsort(in_terms, axis=1, kind="stable")
-    arg1_in = order_in[:, -1]
-    rows = np.arange(n_servers)
-    best1_in = in_terms[rows, arg1_in]
-    if n_servers >= 2:
-        best2_in = in_terms[rows, order_in[:, -2]]
-    else:
-        best2_in = np.full(n_servers, -np.inf)
-    order_out = np.argsort(out_terms, axis=0, kind="stable")
-    arg1_out = order_out[-1, :]
-    best1_out = out_terms[arg1_out, rows]
-    if n_servers >= 2:
-        best2_out = out_terms[order_out[-2, :], rows]
-    else:
-        best2_out = np.full(n_servers, -np.inf)
-    return best1_in, best2_in, arg1_in, best1_out, best2_out, arg1_out
+    n = ss.shape[0]
+    terms = np.empty((2, n, n))
+    # terms[0][s', j] = d(s', s) + l_in[s] and terms[1][s', j] =
+    # l_out[s] + d(s, s'), for s = n - 1 - j.
+    np.add(ss[:, ::-1], l_in[None, ::-1], out=terms[0])
+    np.add(l_out[::-1, None], ss[::-1, :], out=terms[1].T)
+    flat = terms.reshape(2 * n, n)
+    rows = np.arange(2 * n)
+    lead = flat.argmax(axis=1)
+    best1 = flat[rows, lead]
+    flat[rows, lead] = -np.inf
+    best2 = flat[rows, flat.argmax(axis=1)]
+    arg1 = (n - 1) - lead
+    return best1[:n], best2[:n], arg1[:n], best1[n:], best2[n:], arg1[n:]
 
 
 def topk_select(dists: np.ndarray, k: int) -> Tuple[np.ndarray, float]:

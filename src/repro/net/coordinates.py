@@ -26,7 +26,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.net.latency import LatencyMatrix
+from repro.net.latency import LatencyMatrix, pairwise_euclidean
 from repro.utils.rng import SeedLike, ensure_rng
 
 
@@ -164,25 +164,27 @@ class VivaldiEmbedding:
     def predict_matrix(self, *, min_latency: float = 0.1) -> LatencyMatrix:
         """The full predicted latency matrix from the fitted coordinates."""
         self._require_fitted()
-        coords = self._coords
-        diff = coords[:, None, :] - coords[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=2))
+        dist = pairwise_euclidean(self._coords, self._coords)
         if self.use_height:
-            dist = dist + self._heights[:, None] + self._heights[None, :]
+            dist += self._heights[:, None]
+            dist += self._heights[None, :]
+        np.maximum(dist, min_latency, out=dist)
         np.fill_diagonal(dist, 0.0)
-        n = dist.shape[0]
-        off = ~np.eye(n, dtype=bool)
-        dist[off] = np.maximum(dist[off], min_latency)
         return LatencyMatrix(dist, validate=False)
 
     def predict(self, u: int, v: int) -> float:
-        """Predicted latency for one pair."""
+        """Predicted latency for one pair.
+
+        The same float operations as :meth:`predict_matrix`'s entry
+        ``(u, v)`` before its ``min_latency`` floor.
+        """
         self._require_fitted()
         if u == v:
             return 0.0
-        dist = float(np.linalg.norm(self._coords[u] - self._coords[v]))
+        coords = self._coords
+        dist = float(pairwise_euclidean(coords[u : u + 1], coords[v : v + 1])[0, 0])
         if self.use_height:
-            dist += float(self._heights[u] + self._heights[v])
+            dist = (dist + float(self._heights[u])) + float(self._heights[v])
         return max(dist, 0.0)
 
     def quality(self, matrix: LatencyMatrix) -> EmbeddingQuality:

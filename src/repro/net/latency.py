@@ -68,6 +68,35 @@ def _check_dtype(dtype) -> np.dtype:
     return dt
 
 
+def pairwise_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The ``(len(a), len(b))`` float64 block ``|a[i] - b[j]|``.
+
+    Every coordinate synthesizer in the package computes its distances
+    here, so dense matrices and on-demand blocks built from the same
+    points agree byte for byte. The squared differences are added one
+    coordinate at a time, left to right and in place, then square-rooted
+    in place: no ``(len(a), len(b), dims)`` temporary is built. For up to
+    7 dimensions this is bit for bit the historical
+    ``np.sqrt(((a[:, None] - b[None]) ** 2).sum(axis=2))``, because numpy
+    sums so short an axis left to right; from 8 dimensions up numpy's
+    unrolled summation differs from it by a few ULPs.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape[1] == 0:
+        return np.zeros((a.shape[0], b.shape[0]))
+    out = np.empty((a.shape[0], b.shape[0]))
+    np.subtract(a[:, 0, None], b[None, :, 0], out=out)
+    np.multiply(out, out, out=out)
+    if a.shape[1] > 1:
+        term = np.empty_like(out)
+        for k in range(1, a.shape[1]):
+            np.subtract(a[:, k, None], b[None, :, k], out=term)
+            np.multiply(term, term, out=term)
+            out += term
+    return np.sqrt(out, out=out)
+
+
 class LatencyMatrix:
     """An immutable all-pairs latency matrix over ``n`` nodes.
 
@@ -156,12 +185,10 @@ class LatencyMatrix:
         coords = np.asarray(coords, dtype=np.float64)
         if coords.ndim != 2:
             raise ValueError(f"coords must be 2-D, got shape {coords.shape}")
-        diff = coords[:, None, :] - coords[None, :, :]
-        d = np.sqrt((diff**2).sum(axis=2)) * scale
+        d = pairwise_euclidean(coords, coords)
+        d *= scale
+        np.maximum(d, min_latency, out=d)
         np.fill_diagonal(d, 0.0)
-        n = d.shape[0]
-        mask = ~np.eye(n, dtype=bool)
-        d[mask] = np.maximum(d[mask], min_latency)
         return cls(d, dtype=dtype)
 
     @classmethod

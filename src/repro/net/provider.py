@@ -32,7 +32,7 @@ from typing import Optional, Protocol, runtime_checkable
 import numpy as np
 
 from repro.errors import InvalidParameterError
-from repro.net.latency import LatencyMatrix, _check_dtype
+from repro.net.latency import LatencyMatrix, _check_dtype, pairwise_euclidean
 from repro.obs.metrics import registry
 
 
@@ -84,12 +84,13 @@ class CoordinateProvider:
     Predicted latency between distinct nodes is
     ``max(|x_u - x_v| * scale + h_u + h_v, min_latency)`` — Euclidean
     distance, optional Vivaldi height terms, floored to respect strict
-    positivity; the diagonal is zero. Any requested block is computed
-    with the same elementwise float operations (in the same order) as
-    :meth:`LatencyMatrix.from_coordinates` (``heights=None``) and
-    :meth:`VivaldiEmbedding.predict_matrix` (``scale=1.0``), so a
-    provider and a matrix built from the same inputs agree byte for
-    byte on every view.
+    positivity; the diagonal is zero. Any requested block takes its
+    distances from :func:`~repro.net.latency.pairwise_euclidean`, the one
+    helper :meth:`LatencyMatrix.from_coordinates` (``heights=None``) and
+    :meth:`VivaldiEmbedding.predict_matrix` (``scale=1.0``) use too, and
+    applies scale, heights and floor in their order, so a provider and a
+    matrix built from the same inputs agree byte for byte on every view,
+    for any number of dimensions.
 
     Memory is O(n · dims): a million-node universe costs ~24 MB of
     coordinates instead of an 8 TB matrix.
@@ -231,20 +232,22 @@ class CoordinateProvider:
     def _block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Synthesize the ``(len(rows), len(cols))`` latency block.
 
-        Distances are computed in float64 and cast to the provider
-        dtype at the end — the exact pipeline of
+        Distances are computed in float64 by
+        :func:`~repro.net.latency.pairwise_euclidean`, scaled, raised by
+        the heights and floored in place, and cast to the provider dtype
+        at the end — the exact pipeline of
         :meth:`LatencyMatrix.from_coordinates`, which is what makes
-        dense and synthesized views byte-identical.
+        dense and synthesized views byte-identical. The largest
+        temporary is one ``(len(rows), len(cols))`` float64 block.
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        coords = self._coords
-        diff = coords[rows][:, None, :] - coords[cols][None, :, :]
-        d = np.sqrt((diff**2).sum(axis=2))
+        d = pairwise_euclidean(self._coords[rows], self._coords[cols])
         if self._scale != 1.0:
-            d = d * self._scale
+            d *= self._scale
         if self._heights is not None:
-            d = d + self._heights[rows][:, None] + self._heights[cols][None, :]
+            d += self._heights[rows][:, None]
+            d += self._heights[cols][None, :]
         # Flooring the diagonal too is harmless: it is zeroed next.
         np.maximum(d, self._min_latency, out=d)
         same = rows[:, None] == cols[None, :]

@@ -23,7 +23,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.net.graph import NetworkGraph
-from repro.net.latency import LatencyMatrix
+from repro.net.latency import LatencyMatrix, pairwise_euclidean
 from repro.utils.rng import SeedLike, ensure_rng
 
 
@@ -158,8 +158,7 @@ def waxman_graph(
         raise ValueError(f"waxman graph needs >= 2 nodes, got {n}")
     rng = ensure_rng(seed)
     coords = rng.uniform(0.0, 1.0, size=(n, 2))
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
+    dist = pairwise_euclidean(coords, coords)
     max_dist = float(dist.max()) or 1.0
     graph = NetworkGraph(n)
     prob = alpha * np.exp(-dist / (beta * max_dist))

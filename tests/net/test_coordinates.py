@@ -61,9 +61,26 @@ class TestPrediction:
     def test_predict_pair_consistent_with_matrix(self, metric_matrix):
         emb = VivaldiEmbedding(3).fit(metric_matrix, rounds=10, seed=0)
         predicted = emb.predict_matrix()
-        for u, v in [(0, 1), (5, 30), (10, 10)]:
-            expected = 0.0 if u == v else max(emb.predict(u, v), 0.1)
-            assert predicted.distance(u, v) == pytest.approx(expected)
+        n = metric_matrix.n_nodes
+        for u in range(n):
+            for v in range(n):
+                expected = 0.0 if u == v else max(emb.predict(u, v), 0.1)
+                assert predicted.distance(u, v) == expected
+
+    def test_predict_pair_equals_matrix_on_meridian_like(self):
+        # Heights on and a non-metric matrix: every off-diagonal entry
+        # is the same float sum in both paths.
+        from repro.datasets import synthesize_meridian_like
+
+        emb = VivaldiEmbedding(3).fit(
+            synthesize_meridian_like(60, seed=0), rounds=10, seed=0
+        )
+        values = emb.predict_matrix().values
+        pairs = np.array(
+            [[0.0 if u == v else max(emb.predict(u, v), 0.1) for v in range(60)]
+             for u in range(60)]
+        )
+        assert pairs.tobytes() == values.tobytes()
 
     def test_error_decreases_with_rounds(self, metric_matrix):
         few = VivaldiEmbedding(3).fit(metric_matrix, rounds=2, seed=1)
