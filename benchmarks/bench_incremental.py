@@ -155,7 +155,7 @@ def _bench_size(n_clients: int, seed: int) -> list:
         )
     with Stopwatch() as new_watch:
         new_replies = np.array(
-            [engine.candidate_paths(int(c))[0] for c in sampled]
+            [engine.candidate_paths(int(c)) for c in sampled]
         )
     assert np.allclose(old_replies, new_replies, rtol=1e-9), (
         "incremental L(s') replies diverge from the from-scratch path"

@@ -189,11 +189,7 @@ def distributed_greedy_detailed(
     def current_assignment() -> Assignment:
         return Assignment(problem, server_of, validate=False)
 
-    if incremental:
-        d_current = engine.d()
-    else:
-        d_current = max_interaction_path_length(current_assignment())
-    trace: List[float] = [d_current]
+    trace: List[float] = []
     n_messages = 0
     # Initial protocol round: every server broadcasts its inter-server
     # distances and l(s) to the other servers.
@@ -206,11 +202,21 @@ def distributed_greedy_detailed(
         servers=n_servers,
         evaluator=evaluator,
     ):
-        while len(trace) - 1 < max_modifications:
+        while True:
+            # D of the current assignment (the initial one, then after
+            # each modification) and the clients on its longest paths.
+            # The engine finds the candidates first: that rebuilds its
+            # reductions, and D is then served from them.
             if incremental:
                 candidates = engine.longest_path_clients()
+                d_current = engine.d()
             else:
-                candidates = clients_on_longest_paths(current_assignment())
+                assignment = current_assignment()
+                candidates = clients_on_longest_paths(assignment)
+                d_current = max_interaction_path_length(assignment)
+            trace.append(d_current)
+            if len(trace) - 1 >= max_modifications:
+                break
             moved = False
             for c in candidates:
                 c = int(c)
@@ -221,7 +227,7 @@ def distributed_greedy_detailed(
 
                 # L(s') for every server s' (the replies).
                 if incremental:
-                    l_candidates, _d_rest = engine.candidate_paths(c)
+                    l_candidates = engine.candidate_paths(c)
                 else:
                     record_candidate_evaluations(n_servers)
                     l_candidates = _candidate_lengths_recompute(
@@ -246,12 +252,6 @@ def distributed_greedy_detailed(
                     n_messages += n_servers - 1
                     if incremental:
                         engine.apply(c, best_server)
-                        d_current = engine.d()
-                    else:
-                        d_current = max_interaction_path_length(
-                            current_assignment()
-                        )
-                    trace.append(d_current)
                     moved = True
                     break  # re-derive the longest paths after each move
             if not moved:

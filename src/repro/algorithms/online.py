@@ -556,9 +556,7 @@ class OnlineAssignmentManager:
         clients; joins pass ``False`` for documentation value).
         """
         del exclude_self  # the engine excludes a connected client itself
-        costs, _d_rest = self._engine.candidate_paths(
-            self._engine_index(client_node)
-        )
+        costs = self._engine.candidate_paths(self._engine_index(client_node))
         if self._capacity is not None:
             loads = self._engine.loads
             if client_node in self._assigned:

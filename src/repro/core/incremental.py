@@ -197,23 +197,18 @@ class _TopList:
 
 
 class _MoveContext:
-    """Per-client cache of the quantities every destination shares."""
+    """Per-client cache of the quantities every destination shares.
 
-    __slots__ = ("client", "home", "l_out_home", "l_in_home", "d_rest", "paths")
+    ``d_rest`` is ``None`` until a query that needs it asks for it.
+    """
+
+    __slots__ = ("client", "home", "d_rest", "paths")
 
     def __init__(
-        self,
-        client: int,
-        home: int,
-        l_out_home: float,
-        l_in_home: float,
-        d_rest: float,
-        paths: np.ndarray,
+        self, client: int, home: int, d_rest: Optional[float], paths: np.ndarray
     ) -> None:
         self.client = client
         self.home = home
-        self.l_out_home = l_out_home
-        self.l_in_home = l_in_home
         self.d_rest = d_rest
         self.paths = paths
 
@@ -498,15 +493,23 @@ class IncrementalObjective:
         same reduction (and the same floating point evaluation order) as
         :func:`repro.core.metrics.max_interaction_path_length`. Commits
         that change no ``l`` keep it, and a rise folds into it in O(|S|).
+        When the reductions are fresh, D is ``max(best_out + l_in)`` in
+        O(|S|): ``best_out[s']`` is the largest ``l_out[s] + d(s, s')``
+        and rounded addition is monotone, so adding ``l_in[s']`` to it
+        gives the largest ``(l_out[s] + d(s, s')) + l_in[s']`` bit for
+        bit, the association ``objective_refresh`` uses.
         """
         if self._n_assigned == 0:
             return 0.0
         if self._d is None:
-            self._d = float(
-                self._kernels.objective_refresh(
-                    self._l_out, self._l_in, self._ss64
+            if self._reductions is not None:
+                self._d = float((self._reductions[3] + self._l_in).max())
+            else:
+                self._d = float(
+                    self._kernels.objective_refresh(
+                        self._l_out, self._l_in, self._ss64
+                    )
                 )
-            )
         return self._d
 
     def longest_path_clients(self) -> np.ndarray:
@@ -523,10 +526,11 @@ class IncrementalObjective:
         members of each direction are a prefix of its descending top-k
         list. Unlisted members are bounded by the list's watermark; only
         when that reaches the threshold too are the server's members
-        scanned.
+        scanned. The reductions are built before D, so D is served from
+        them.
         """
-        threshold = self.d() - 1e-9
         reductions = self._server_reduction_cache()
+        threshold = self.d() - 1e-9
         best_in, best_out = reductions[0], reductions[3]
         hot = (self._l_out + best_in >= threshold) | (
             best_out + self._l_in >= threshold
@@ -550,13 +554,23 @@ class IncrementalObjective:
                     if -neg_dist + b < threshold:
                         break
                     found.append(client)
+        if not scanned:
+            return np.array(sorted(set(found)), dtype=np.int64)
         scanned.append(np.asarray(found, dtype=np.int64))
         return np.unique(np.concatenate(scanned))
 
-    def _context(self, client: int) -> _MoveContext:
-        """The per-client quantities shared by every destination."""
+    def _context(self, client: int, with_rest: bool) -> _MoveContext:
+        """The per-client quantities shared by every destination.
+
+        ``with_rest`` asks for ``d_rest`` too; a cached context that
+        lacks it is rebuilt.
+        """
         ctx = self._ctx
-        if ctx is not None and ctx.client == client:
+        if (
+            ctx is not None
+            and ctx.client == client
+            and (ctx.d_rest is not None or not with_rest)
+        ):
             return ctx
         home = int(self._server_of[client])
         reductions = self._server_reduction_cache()
@@ -569,10 +583,10 @@ class IncrementalObjective:
         out_leg = np.ascontiguousarray(self._cs[client, :], dtype=np.float64)
         in_leg = np.ascontiguousarray(self._sc[:, client], dtype=np.float64)
         # Fused kernel: home-server exclusion via the top-2 reductions
-        # (O(1) per row), d_rest, and the candidate path length through
-        # the client at each destination — its outgoing leg + the best
-        # continuation, the best prefix + its incoming leg, and its own
-        # round trip (the self-pair).
+        # (O(1) per row), d_rest when asked for, and the candidate path
+        # length through the client at each destination — its outgoing
+        # leg + the best continuation, the best prefix + its incoming
+        # leg, and its own round trip (the self-pair).
         paths, d_rest = self._kernels.move_context(
             self._ss64,
             self._l_out,
@@ -584,28 +598,28 @@ class IncrementalObjective:
             l_out_home,
             l_in_home,
             self._n_assigned > 0,
+            with_rest,
         )
-        ctx = _MoveContext(
-            client, home, l_out_home, l_in_home, float(d_rest), paths
-        )
+        ctx = _MoveContext(client, home, float(d_rest) if with_rest else None, paths)
         self._ctx = ctx
         return ctx
 
-    def candidate_paths(self, client: int) -> Tuple[np.ndarray, float]:
-        """``(L, d_rest)`` for relocating ``client`` anywhere.
+    def candidate_paths(self, client: int) -> np.ndarray:
+        """``L`` for relocating ``client`` anywhere.
 
         ``L[s']`` is the longest interaction path *through the client* if
         it were (re)assigned to ``s'`` — Distributed-Greedy's reply
-        ``L(s')`` (§IV-D step 2) — and ``d_rest`` the objective of the
-        assignment with the client removed. The post-move objective is
-        ``max(d_rest, L[s'])``. O(|S|) on warm caches.
+        ``L(s')`` (§IV-D step 2). The post-move objectives
+        ``max(d_rest, L[s'])``, with ``d_rest`` the objective of the
+        assignment without the client, come from :meth:`batch_delta_D`.
+        O(|S|) on warm caches.
         """
-        ctx = self._context(client)
+        ctx = self._context(client, False)
         n = self._problem.n_servers
         self._n_evaluations += n
         record_candidate_evaluations(n)
         self._m_batch_sizes.observe(n)
-        return ctx.paths.copy(), ctx.d_rest
+        return ctx.paths.copy()
 
     def delta_D(self, client: int, new_server: int) -> float:
         """The objective after moving ``client`` to ``new_server``.
@@ -615,7 +629,7 @@ class IncrementalObjective:
         invalidated the reductions; scoring several destinations of one
         client amortizes to O(1) each via the shared per-client context.
         """
-        ctx = self._context(client)
+        ctx = self._context(client, True)
         self._n_evaluations += 1
         record_candidate_evaluations(1)
         return max(ctx.d_rest, float(ctx.paths[new_server]))
@@ -635,7 +649,7 @@ class IncrementalObjective:
         servers of a capacitated problem score ``inf`` — except the
         client's current server, which is always feasible.
         """
-        ctx = self._context(client)
+        ctx = self._context(client, True)
         paths = ctx.paths
         if candidate_servers is None:
             cand = None

@@ -170,16 +170,18 @@ def move_context(
     l_out_home,
     l_in_home,
     has_assigned,
+    with_rest,
 ):
     """Fused per-client candidate scoring (see the numpy twin's docs).
 
     One pass over the |S| destinations computes the home-excluded best
-    completions, ``d_rest`` and the candidate path vector, replacing
-    ~10 ufunc launches with a single compiled loop.
+    completions, ``d_rest`` (only ``with_rest``; NaN otherwise) and the
+    candidate path vector, replacing ~10 ufunc launches with a single
+    compiled loop.
     """
     n = ss.shape[0]
     paths = np.empty(n)
-    d_rest = -np.inf
+    d_rest = -np.inf if with_rest else np.nan
     for j in range(n):
         if home >= 0:
             if arg1_in[j] == home:
@@ -196,16 +198,17 @@ def move_context(
             alt = l_out_home + ss[home, j]
             if alt > best_out:
                 best_out = alt
-            if j == home:
-                rest = l_out_home + best_in
-            else:
-                rest = l_out[j] + best_in
-            if rest > d_rest:
-                d_rest = rest
+            if with_rest:
+                if j == home:
+                    rest = l_out_home + best_in
+                else:
+                    rest = l_out[j] + best_in
+                if rest > d_rest:
+                    d_rest = rest
         else:
             best_in = best1_in[j]
             best_out = best1_out[j]
-            if has_assigned:
+            if with_rest and has_assigned:
                 rest = l_out[j] + best_in
                 if rest > d_rest:
                     d_rest = rest

@@ -9,8 +9,8 @@ tests pin against golden walk values.
 
 A body may be rewritten for speed only if its outputs stay
 bit-identical. ``tests/core/test_kernel_oracles.py`` keeps the
-historical bodies of :func:`reduction_top2` and
-:func:`objective_refresh` as oracles and checks the current ones
+historical bodies of :func:`reduction_top2`, :func:`objective_refresh`
+and :func:`move_context` as oracles and checks the current ones
 against them on tie-heavy, float32-derived and ``-inf`` inputs.
 """
 
@@ -50,8 +50,9 @@ def reduction_top2(
     tail of a stable ascending argsort, the engine's original
     behavior). Both directions' terms are laid out as rows in
     descending server order, so one ``argmax`` (first maximum) per row
-    finds the leader; the runner-up is the first maximum once the
-    leader's entry is set to ``-inf`` (so ``-inf`` for one server).
+    finds the leader; one row sort gives the leader's value and the
+    runner-up (equal to it when the maximum is tied, ``-inf`` for one
+    server).
     """
     n = ss.shape[0]
     terms = np.empty((2, n, n))
@@ -60,12 +61,10 @@ def reduction_top2(
     np.add(ss[:, ::-1], l_in[None, ::-1], out=terms[0])
     np.add(l_out[::-1, None], ss[::-1, :], out=terms[1].T)
     flat = terms.reshape(2 * n, n)
-    rows = np.arange(2 * n)
-    lead = flat.argmax(axis=1)
-    best1 = flat[rows, lead]
-    flat[rows, lead] = -np.inf
-    best2 = flat[rows, flat.argmax(axis=1)]
-    arg1 = (n - 1) - lead
+    arg1 = (n - 1) - flat.argmax(axis=1)
+    top = np.sort(flat, axis=1)
+    best1 = top[:, -1]
+    best2 = top[:, -2] if n > 1 else np.full(2 * n, -np.inf)
     return best1[:n], best2[:n], arg1[:n], best1[n:], best2[n:], arg1[n:]
 
 
@@ -121,32 +120,36 @@ def move_context(
     l_out_home: float,
     l_in_home: float,
     has_assigned: bool,
+    with_rest: bool,
 ) -> Tuple[np.ndarray, float]:
     """Per-client candidate paths ``L(s')`` and the client-less objective.
 
     The fused hot path behind ``batch_delta_D`` / ``candidate_paths``:
     exclude the client's home server from the cached best completions
-    (O(1) per row via the top-2 terms), compute ``d_rest`` — D with the
-    client removed — and score every destination: the client's outgoing
-    leg plus the best continuation, the best prefix plus its incoming
-    leg, and its own round trip.
+    (O(1) per row via the top-2 terms) and score every destination: the
+    client's outgoing leg plus the best continuation, the best prefix
+    plus its incoming leg, and its own round trip. With ``with_rest``
+    it also computes ``d_rest`` — D with the client removed — which
+    only the post-move objectives need; otherwise ``d_rest`` is NaN.
     """
+    d_rest = np.nan
     if home >= 0:
         best_in = np.where(arg1_in == home, best2_in, best1_in)
         np.maximum(best_in, ss[:, home] + l_in_home, out=best_in)
         best_out = np.where(arg1_out == home, best2_out, best1_out)
         np.maximum(best_out, l_out_home + ss[home, :], out=best_out)
-        l_out_rest = l_out.copy()
-        l_out_rest[home] = l_out_home
-        with np.errstate(invalid="ignore"):
-            d_rest = float(np.max(l_out_rest + best_in))
+        if with_rest:
+            l_out_rest = l_out.copy()
+            l_out_rest[home] = l_out_home
+            with np.errstate(invalid="ignore"):
+                d_rest = float(np.max(l_out_rest + best_in))
     else:
         best_in = best1_in
         best_out = best1_out
-        if has_assigned:
+        if with_rest and has_assigned:
             with np.errstate(invalid="ignore"):
                 d_rest = float(np.max(l_out + best_in))
-        else:
+        elif with_rest:
             d_rest = -np.inf
     paths = np.maximum(out_leg + best_in, best_out + in_leg)
     np.maximum(paths, out_leg + in_leg, out=paths)

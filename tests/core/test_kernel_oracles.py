@@ -1,12 +1,15 @@
 """The engine kernels against their historical numpy bodies.
 
-``reduction_top2`` and ``objective_refresh`` in
+``reduction_top2``, ``objective_refresh`` and ``move_context`` in
 :mod:`repro.kernels.numpy_backend` were rewritten for speed under one
 contract: bit-identical outputs. This module keeps the bodies they
 replaced as oracles and checks every available backend against them —
-equal bytes, shapes and dtypes for all six reduction arrays, and an
-equal float for the objective — on tie-heavy integer, float32-derived
-and float64 inputs with unused (``-inf``) servers.
+equal bytes, shapes and dtypes for all six reduction arrays, an equal
+float for the objective, and equal candidate paths (and ``d_rest``
+when asked for) — on tie-heavy integer, float32-derived and float64
+inputs with unused (``-inf``) servers. It also pins the two shortcuts
+the solve path takes around the kernels: the engine's D served from
+fresh reductions, and Greedy's unstable sort with its stable fallback.
 """
 
 from __future__ import annotations
@@ -18,7 +21,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.greedy import _sorted_frame
+from repro.core import ClientAssignmentProblem, IncrementalObjective
 from repro.kernels import available_backends, resolve_backend
+from repro.net.latency import LatencyMatrix
 
 SETTINGS = settings(
     max_examples=300,
@@ -60,6 +66,33 @@ def oracle_reduction_top2(
     else:
         best2_out = np.full(n_servers, -np.inf)
     return best1_in, best2_in, arg1_in, best1_out, best2_out, arg1_out
+
+
+def oracle_move_context(
+    ss, l_out, l_in, best1_in, best2_in, arg1_in, best1_out, best2_out,
+    arg1_out, out_leg, in_leg, home, l_out_home, l_in_home, has_assigned,
+):
+    """The historical body: always computes ``d_rest``."""
+    if home >= 0:
+        best_in = np.where(arg1_in == home, best2_in, best1_in)
+        np.maximum(best_in, ss[:, home] + l_in_home, out=best_in)
+        best_out = np.where(arg1_out == home, best2_out, best1_out)
+        np.maximum(best_out, l_out_home + ss[home, :], out=best_out)
+        l_out_rest = l_out.copy()
+        l_out_rest[home] = l_out_home
+        with np.errstate(invalid="ignore"):
+            d_rest = float(np.max(l_out_rest + best_in))
+    else:
+        best_in = best1_in
+        best_out = best1_out
+        if has_assigned:
+            with np.errstate(invalid="ignore"):
+                d_rest = float(np.max(l_out + best_in))
+        else:
+            d_rest = -np.inf
+    paths = np.maximum(out_leg + best_in, best_out + in_leg)
+    np.maximum(paths, out_leg + in_leg, out=paths)
+    return paths, d_rest
 
 
 KINDS = ["int", "float32", "float64"]
@@ -149,3 +182,123 @@ def test_single_server_and_all_unused(backend):
         oracle_reduction_top2(ss, unused, unused),
     ):
         assert _same(got, expected)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_reduction_top2_tied_leader(backend):
+    """A tied maximum: the leader is the highest tied server and the
+    runner-up equals it; an all-``-inf`` row keeps ``-inf`` twice."""
+    ss = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
+    l_in = np.array([2.0, 1.0, 2.0])
+    l_out = np.array([-np.inf, 3.0, 3.0])
+    got = resolve_backend(backend).reduction_top2(ss, l_in, l_out)
+    for g, e in zip(got, oracle_reduction_top2(ss, l_in, l_out)):
+        assert _same(g, e)
+    best1_in, best2_in, arg1_in = got[:3]
+    assert best1_in[1] == best2_in[1] == 4.0 and arg1_in[1] == 2
+
+
+@st.composite
+def move_inputs(draw):
+    """Engine-shaped ``move_context`` arguments: reductions of the
+    drawn ``l`` vectors, float64 legs and a home (``-1`` = joiner)."""
+    ss, l_out, l_in = draw(kernel_inputs())
+    n = ss.shape[0]
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    reductions = oracle_reduction_top2(ss, l_in, l_out)
+    used = np.flatnonzero(np.isfinite(l_out))
+    home = int(rng.choice(used)) if used.size and draw(st.booleans()) else -1
+    if home >= 0:
+        # l(home) without the client: unchanged, lower, or empty.
+        shrink = draw(st.sampled_from([0.0, 1.0, np.inf]))
+        l_out_home, l_in_home = l_out[home] - shrink, l_in[home] - shrink
+    else:
+        l_out_home = l_in_home = -np.inf
+    out_leg, in_leg = (
+        np.round(rng.uniform(0.0, 300.0, size=n), 1).astype(ss.dtype)
+        for _ in range(2)
+    )
+    return (
+        ss, l_out, l_in, *reductions, out_leg, in_leg, home,
+        float(l_out_home), float(l_in_home), bool(used.size),
+    )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@SETTINGS
+@given(args=move_inputs())
+def test_move_context_matches_oracle(backend, args):
+    kernel = resolve_backend(backend).move_context
+    paths, d_rest = oracle_move_context(*args)
+    got_paths, got_rest = kernel(*args, True)
+    assert _same(got_paths, paths)
+    assert np.float64(got_rest).tobytes() == np.float64(d_rest).tobytes()
+    # Without d_rest: the same paths, and no d_rest.
+    got_paths, got_rest = kernel(*args, False)
+    assert _same(got_paths, paths)
+    assert np.isnan(got_rest)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@SETTINGS
+@given(data=kernel_inputs(min_used=1))
+def test_d_from_reductions_matches_objective_refresh(backend, data):
+    """``max(best_out + l_in)``, the engine's D on fresh reductions."""
+    ss, l_out, l_in = data
+    best_out = resolve_backend(backend).reduction_top2(ss, l_in, l_out)[3]
+    got = float((best_out + l_in).max())
+    expected = oracle_objective_refresh(l_out, l_in, ss)
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_engine_d_after_reductions_matches_objective_refresh(backend, kind):
+    """Along a random walk, D read right after the reductions were
+    rebuilt equals the historical refresh of the engine's ``l`` vectors."""
+    rng = np.random.default_rng(KINDS.index(kind))
+    n, n_servers = 40, 7
+    if kind == "int":
+        values = rng.integers(1, 4, size=(n, n)).astype(np.float64)
+    else:
+        values = rng.uniform(1.0, 300.0, size=(n, n))
+    np.fill_diagonal(values, 0.0)
+    dtype = np.float32 if kind == "float32" else np.float64
+    servers = np.sort(rng.choice(n, size=n_servers, replace=False))
+    problem = ClientAssignmentProblem(LatencyMatrix(values, dtype=dtype), servers)
+    engine = IncrementalObjective(problem, history=False, backend=backend)
+    ss64 = problem.server_server.astype(np.float64)
+    for step in range(300):
+        c = int(rng.integers(problem.n_clients))
+        if engine.server_of[c] >= 0 and rng.random() < 0.3:
+            engine.unassign(c)
+        else:
+            engine.apply(c, int(rng.integers(n_servers)))
+        if engine.n_assigned == 0:
+            continue
+        engine.server_reductions()
+        l_out, l_in = engine.l_vectors()
+        expected = oracle_objective_refresh(l_out, l_in, ss64)
+        assert np.float64(engine.d()).tobytes() == np.float64(expected).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["int", "float32", "float64", "constant"])
+@pytest.mark.parametrize("seed", range(20))
+def test_greedy_sort_matches_stable_argsort(kind, seed):
+    """Greedy's per-server order: the unstable sort where a row's keys
+    are distinct, the stable sort on rows with ties."""
+    rng = np.random.default_rng([seed, len(kind)])
+    n_clients, n_servers = int(rng.integers(1, 200)), int(rng.integers(1, 12))
+    shape = (n_clients, n_servers)
+    if kind == "int":
+        cs = rng.integers(0, int(rng.integers(1, 6)), size=shape).astype(np.float64)
+    elif kind == "float32":
+        cs = np.round(rng.uniform(1.0, 12.0, size=shape), 1).astype(np.float32)
+    elif kind == "constant":
+        cs = np.full(shape, 7.0)
+    else:
+        cs = rng.uniform(1.0, 300.0, size=shape)
+    order, values = _sorted_frame(cs)
+    expected = np.argsort(cs.T, axis=1, kind="stable")
+    assert np.array_equal(order, expected)
+    assert _same(values, cs.T[np.arange(n_servers)[:, None], expected])

@@ -69,7 +69,7 @@ def dga_walk(engine: IncrementalObjective, max_moves: int = 400) -> int:
         d_current = engine.d()
         moved = False
         for c in check(engine).tolist():
-            paths, _ = engine.candidate_paths(c)
+            paths = engine.candidate_paths(c)
             best = int(np.argmin(paths))
             if paths[best] < d_current - 1e-12 and best != engine.server_of[c]:
                 engine.apply(c, best)

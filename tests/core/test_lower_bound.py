@@ -1,5 +1,7 @@
 """Tests for repro.core.lower_bound (super-optimal bound)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.core import (
     single_pair_lower_bound,
     solve_branch_and_bound,
 )
+from repro.core import lower_bound as lower_bound_module
 from repro.net.latency import LatencyMatrix
 
 
@@ -40,6 +43,44 @@ class TestAgainstBruteforce:
         a = interaction_lower_bound(small_problem, block_size=3)
         b = interaction_lower_bound(small_problem, block_size=512)
         assert a == b
+
+
+class TestTightenedScan:
+    """The pair scan tightens its row and column bounds to the rows
+    still pending; whether it does so after every block or (almost)
+    never, the bound equals brute force bit for bit."""
+
+    @pytest.mark.parametrize("tighten_after", [0, 1, 4, 10**9])
+    @pytest.mark.parametrize("cells", [1, 4, 64])
+    @pytest.mark.parametrize("kind", ["int", "float32", "float64"])
+    def test_equals_bruteforce(self, tighten_after, cells, kind):
+        rng = np.random.default_rng([tighten_after % 97, cells, len(kind)])
+        for _ in range(6):
+            n = int(rng.integers(2, 24))
+            if kind == "int":
+                d = rng.integers(1, 5, size=(n, n)).astype(np.float64)
+            else:
+                d = rng.uniform(1.0, 100.0, size=(n, n))
+            if kind == "float32":
+                d = d.astype(np.float32)
+            np.fill_diagonal(d, 0)
+            servers = rng.choice(n, size=int(rng.integers(1, min(n, 6) + 1)), replace=False)
+            problem = ClientAssignmentProblem(LatencyMatrix(d), servers)
+            with mock.patch.object(
+                lower_bound_module, "_PAIR_CELLS", cells
+            ), mock.patch.object(lower_bound_module, "_TIGHTEN_AFTER", tighten_after):
+                fast = interaction_lower_bound(problem)
+            # The unpruned factored form; brute force too, except for
+            # float32, where it rounds the second product in float32.
+            cs, ss, sc = (
+                problem.client_server,
+                problem.server_server,
+                problem.server_client,
+            )
+            a = (cs[:, :, None] + ss[None]).min(axis=1).astype(np.float64)
+            assert fast == float((a[:, :, None] + sc[None]).min(axis=1).max())
+            if kind != "float32":
+                assert fast == interaction_lower_bound_bruteforce(problem)
 
 
 class TestBoundProperty:
