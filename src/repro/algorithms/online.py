@@ -23,6 +23,7 @@ so the value of prompt reassignment is measurable (see
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
@@ -226,6 +227,7 @@ class OnlineAssignmentManager:
             join_policy=join_policy,
         )
         self._matrix = matrix
+        self._n_nodes = int(matrix.n_nodes)
         self._servers = as_index_array(servers, "servers")
         if self._servers.size == 0:
             raise InvalidParameterError("need at least one server")
@@ -278,6 +280,11 @@ class OnlineAssignmentManager:
             k=config.top_k,
             backend=config.backend,
         )
+        # Bound once, like the engine's own instruments: joins and
+        # leaves pay one attribute-add each.
+        metrics = registry()
+        self._m_joins = metrics.counter("online.joins")
+        self._m_leaves = metrics.counter("online.leaves")
 
     def _engine_index(self, client_node: int) -> int:
         """The engine's local client index for a node (identity when the
@@ -345,7 +352,7 @@ class OnlineAssignmentManager:
 
     def loads(self) -> np.ndarray:
         """Per-server client counts."""
-        return np.array([len(m) for m in self._members], dtype=np.int64)
+        return self._engine.loads
 
     # ------------------------------------------------------------------
     # Server liveness (fail-stop crash / recovery support)
@@ -438,11 +445,6 @@ class OnlineAssignmentManager:
         self._usable_mask = self._active & self._reachable
         self._n_usable = int(self._usable_mask.sum())
 
-    def _usable(self) -> np.ndarray:
-        """Boolean mask of servers valid as placement targets (shared;
-        callers must not modify it)."""
-        return self._usable_mask
-
     def move(self, client_node: int, server: int) -> None:
         """Reassign a connected client to a specific usable server."""
         if client_node not in self._assigned:
@@ -462,10 +464,14 @@ class OnlineAssignmentManager:
             raise CapacityError(f"server {server} is at capacity")
         old = self._assigned[client_node]
         if old != server:
-            self._members[old].discard(client_node)
-            self._members[server].add(client_node)
-            self._assigned[client_node] = server
-            self._engine.apply(self._engine_index(client_node), server)
+            self._rebind(client_node, old, server)
+
+    def _rebind(self, client_node: int, old: int, server: int) -> None:
+        """Move a connected client between two distinct servers, unchecked."""
+        self._members[old].discard(client_node)
+        self._members[server].add(client_node)
+        self._assigned[client_node] = server
+        self._engine.apply(self._engine_index(client_node), server)
 
     def evacuate(self, server: int) -> List[Tuple[int, int]]:
         """Reassign every client of ``server`` onto the active servers.
@@ -488,7 +494,7 @@ class OnlineAssignmentManager:
                 f"server {server} is still active; deactivate it before "
                 f"evacuating (or use move() to drain it)"
             )
-        usable = self._usable()
+        usable = self._usable_mask
         if not usable.any():
             raise FailoverError(
                 "every server is down or unreachable; nowhere to evacuate to"
@@ -518,15 +524,17 @@ class OnlineAssignmentManager:
         order = sorted(stranded, key=lambda c: (-round_trip[c], c))
         moves: List[Tuple[int, int]] = []
         for client in order:
-            costs = self._candidate_costs(client, exclude_self=True)
-            best = int(np.argmin(costs))
-            if not np.isfinite(costs[best]):
+            costs = self.candidate_costs(client)
+            best = int(costs.argmin())
+            if not math.isfinite(costs.item(best)):
                 # Unreachable given the up-front feasibility check, but
                 # fail loudly rather than corrupt state.
                 raise FailoverError(
                     f"no feasible server for evacuated client {client}"
                 )
-            self.move(client, best)
+            # A finite cost already means usable and unsaturated: the
+            # down home server is masked, so move()'s checks hold.
+            self._rebind(client, server, best)
             moves.append((client, best))
         return moves
 
@@ -547,58 +555,40 @@ class OnlineAssignmentManager:
         """
         return self._engine.l_vectors()
 
-    def _candidate_costs(self, client_node: int, *, exclude_self: bool) -> np.ndarray:
-        """L(s') for assigning ``client_node`` to each server.
-
-        Served by the incremental engine in O(|S|) on warm caches. A
-        connected client's own contribution is always excluded by the
-        engine (``exclude_self`` is only meaningful for connected
-        clients; joins pass ``False`` for documentation value).
-        """
-        del exclude_self  # the engine excludes a connected client itself
-        costs = self._engine.candidate_paths(self._engine_index(client_node))
-        if self._capacity is not None:
-            loads = self._engine.loads
-            if client_node in self._assigned:
-                loads[self._assigned[client_node]] -= 1
-            costs = np.where(loads >= self._capacity, np.inf, costs)
-        return np.where(self._usable(), costs, np.inf)
-
     def candidate_costs(self, client_node: int) -> np.ndarray:
-        """Public masked ``L(s')`` vector for a client (policy seam).
+        """Masked ``L(s')`` vector for a client (policy seam).
 
+        For an arriving client this is the cost vector a policy ranks
+        (:meth:`~repro.algorithms.policies.PlacementView.path_costs`).
         For a connected client the cost of staying put is included
         (own contribution excluded by the engine; own capacity slot
         credited back), so remediation policies can compare "stay"
         against every alternative. Unusable or saturated servers hold
-        ``+inf``.
+        ``+inf``. Served by the incremental engine in O(|S|) on warm
+        caches.
         """
-        return self._candidate_costs(
-            client_node, exclude_self=client_node in self._assigned
-        )
+        # candidate_paths returns a fresh vector, so it is masked in place.
+        costs = self._engine.candidate_paths(self._engine_index(client_node))
+        if self._capacity is not None:
+            loads = self._engine.loads
+            home = self._assigned.get(client_node)
+            if home is not None:
+                loads[home] -= 1
+            costs[loads >= self._capacity] = np.inf
+        if self._n_usable < costs.size:
+            costs[~self._usable_mask] = np.inf
+        return costs
 
-    def _nearest_join_costs(self, client_node: int) -> np.ndarray:
+    def nearest_join_costs(self, client_node: int) -> np.ndarray:
         """Masked outgoing legs for a join (the historical nearest rule)."""
         costs = self._matrix.client_server_distances(
             np.array([client_node], dtype=np.int64), self._servers
         )[0].astype(float)
         if self._capacity is not None:
-            costs = np.where(self.loads() >= self._capacity, np.inf, costs)
-        return np.where(self._usable(), costs, np.inf)
-
-    def placement_view(self, client_node: int) -> PlacementView:
-        """The :class:`~repro.algorithms.policies.PlacementView` a policy
-        sees when placing ``client_node``."""
-        return PlacementView(
-            client_node=client_node,
-            n_servers=self.n_servers,
-            capacity=self._capacity,
-            nearest_costs=lambda: self._nearest_join_costs(client_node),
-            path_costs=lambda: self._candidate_costs(
-                client_node, exclude_self=False
-            ),
-            loads=self.loads,
-        )
+            costs[self._engine.loads >= self._capacity] = np.inf
+        if self._n_usable < costs.size:
+            costs[~self._usable_mask] = np.inf
+        return costs
 
     @property
     def policy(self) -> OnlinePolicy:
@@ -617,14 +607,14 @@ class OnlineAssignmentManager:
         """
         if client_node in self._assigned:
             raise InvalidAssignmentError(f"client {client_node} already connected")
-        if not 0 <= client_node < self._matrix.n_nodes:
+        if not 0 <= client_node < self._n_nodes:
             raise InvalidAssignmentError(f"client node {client_node} out of range")
         engine_idx = self._engine_index(client_node)
-        best = self._policy.choose_server(self.placement_view(client_node))
+        best = self._policy.choose_server(PlacementView(self, client_node))
         self._assigned[client_node] = best
         self._members[best].add(client_node)
         self._engine.apply(engine_idx, best)
-        registry().counter("online.joins").inc()
+        self._m_joins.inc()
         return best
 
     def leave(self, client_node: int) -> None:
@@ -637,7 +627,7 @@ class OnlineAssignmentManager:
             ) from None
         self._members[server].discard(client_node)
         self._engine.unassign(self._engine_index(client_node))
-        registry().counter("online.leaves").inc()
+        self._m_leaves.inc()
 
     def restore_client(self, client_node: int, server: int) -> None:
         """Install a client→server binding verbatim (recovery path).
@@ -651,7 +641,7 @@ class OnlineAssignmentManager:
         """
         if client_node in self._assigned:
             raise InvalidAssignmentError(f"client {client_node} already connected")
-        if not 0 <= client_node < self._matrix.n_nodes:
+        if not 0 <= client_node < self._n_nodes:
             raise InvalidAssignmentError(f"client node {client_node} out of range")
         self._check_server_index(server)
         engine_idx = self._engine_index(client_node)
@@ -686,28 +676,26 @@ class OnlineAssignmentManager:
         # Repair runs over the *usable* servers only, so a bounded
         # rebalance can never move a client onto a crashed or
         # partitioned server.
-        usable = np.flatnonzero(self._usable())
-        stranded = [
-            node
-            for node, s in self._assigned.items()
-            if not self._active[s]
-        ]
-        if stranded:
+        usable = np.flatnonzero(self._usable_mask)
+        n_assigned = len(self._assigned)
+        all_nodes = np.fromiter(self._assigned, dtype=np.int64, count=n_assigned)
+        all_homes = np.fromiter(
+            self._assigned.values(), dtype=np.int64, count=n_assigned
+        )
+        n_stranded = int(np.count_nonzero(~self._active[all_homes]))
+        if n_stranded:
             raise FailoverError(
-                f"{len(stranded)} client(s) still assigned to down "
+                f"{n_stranded} client(s) still assigned to down "
                 f"server(s); evacuate before rebalancing"
             )
         # Clients riding out a partition on an unreachable server keep
         # their stale assignment: they cannot be reached to be moved,
         # so the repair problem covers only clients on usable servers.
-        nodes = tuple(
-            sorted(
-                node
-                for node, s in self._assigned.items()
-                if self._reachable[s]
-            )
-        )
-        if not nodes or usable.size == 0:
+        reachable = self._reachable[all_homes]
+        order = np.argsort(all_nodes[reachable])
+        nodes_arr = all_nodes[reachable][order]
+        homes = all_homes[reachable][order]
+        if not nodes_arr.size or usable.size == 0:
             return 0
         capacities: Union[None, int, np.ndarray] = self._capacity
         if capacities is not None and reserved is not None:
@@ -718,29 +706,26 @@ class OnlineAssignmentManager:
         problem = ClientAssignmentProblem(
             self._matrix,
             self._servers[usable],
-            clients=list(nodes),
+            clients=nodes_arr,
             capacities=capacities,
         )
-        to_sub = {int(s): i for i, s in enumerate(usable)}
-        server_of = np.array(
-            [to_sub[self._assigned[n]] for n in nodes], dtype=np.int64
-        )
+        to_sub = np.full(self.n_servers, -1, dtype=np.int64)
+        to_sub[usable] = np.arange(usable.size)
         result = distributed_greedy_detailed(
             problem,
-            initial=Assignment(problem, server_of),
+            initial=Assignment(problem, to_sub[homes]),
             max_modifications=max_moves,
         )
         # Fold the improved assignment back into the live state. Applied
         # directly (not via move()) because the final assignment honors
         # capacities even where individual steps would transiently not.
-        for local_idx, node in enumerate(nodes):
-            new_server = int(usable[result.assignment.server_of[local_idx]])
-            old_server = self._assigned[node]
-            if new_server != old_server:
-                self._members[old_server].discard(node)
-                self._members[new_server].add(node)
-                self._assigned[node] = new_server
-                self._engine.apply(self._engine_index(node), new_server)
+        placed = usable[result.assignment.server_of]
+        for local_idx in np.flatnonzero(placed != homes).tolist():
+            self._rebind(
+                int(nodes_arr[local_idx]),
+                int(homes[local_idx]),
+                int(placed[local_idx]),
+            )
         return result.n_modifications
 
     # ------------------------------------------------------------------

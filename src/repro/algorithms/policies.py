@@ -27,7 +27,8 @@ events (see ``docs/scenarios.md`` for the authoring guide).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Union
+import math
+from typing import Any, Callable, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -41,47 +42,52 @@ from repro.errors import (
 class PlacementView:
     """What a policy sees when placing one arriving client.
 
-    Cost vectors are built lazily (a nearest-style policy never pays
-    for the ``L(s')`` reduction) and cached (a policy may consult both
-    without recomputation). Both are masked: unusable or saturated
-    servers hold ``+inf``.
+    Bound to the manager placing the client — an
+    :class:`~repro.algorithms.online.OnlineAssignmentManager` or a
+    :class:`~repro.scale.sharded.ShardedOnlineManager`, both of which
+    provide ``n_servers``, ``capacity``, ``loads()``,
+    ``nearest_join_costs(node)`` and ``candidate_costs(node)``. Cost
+    vectors are built lazily (a nearest-style policy never pays for the
+    ``L(s')`` reduction) and cached (a policy may consult both without
+    recomputation). Both are masked: unusable or saturated servers hold
+    ``+inf``.
     """
 
-    def __init__(
-        self,
-        client_node: int,
-        n_servers: int,
-        capacity: Optional[int],
-        nearest_costs: Callable[[], np.ndarray],
-        path_costs: Callable[[], np.ndarray],
-        loads: Callable[[], np.ndarray],
-    ) -> None:
-        self.client_node = int(client_node)
-        self.n_servers = int(n_servers)
-        self.capacity = capacity
-        self._nearest_thunk = nearest_costs
-        self._paths_thunk = path_costs
-        self._loads_thunk = loads
+    __slots__ = ("client_node", "_manager", "_nearest", "_paths", "_loads")
+
+    def __init__(self, manager: Any, client_node: int) -> None:
+        self._manager = manager
+        self.client_node = client_node
         self._nearest: Optional[np.ndarray] = None
         self._paths: Optional[np.ndarray] = None
         self._loads: Optional[np.ndarray] = None
 
+    @property
+    def n_servers(self) -> int:
+        """Number of servers."""
+        return self._manager.n_servers
+
+    @property
+    def capacity(self) -> Optional[int]:
+        """Uniform per-server capacity (``None`` = unlimited)."""
+        return self._manager.capacity
+
     def nearest_costs(self) -> np.ndarray:
         """Masked outgoing legs ``d(c, s')`` per server."""
         if self._nearest is None:
-            self._nearest = self._nearest_thunk()
+            self._nearest = self._manager.nearest_join_costs(self.client_node)
         return self._nearest
 
     def path_costs(self) -> np.ndarray:
         """Masked candidate path lengths ``L(s')`` per server."""
         if self._paths is None:
-            self._paths = self._paths_thunk()
+            self._paths = self._manager.candidate_costs(self.client_node)
         return self._paths
 
     def loads(self) -> np.ndarray:
         """Current per-server client counts (global, all shards)."""
         if self._loads is None:
-            self._loads = self._loads_thunk()
+            self._loads = self._manager.loads()
         return self._loads
 
 
@@ -91,8 +97,8 @@ def best_finite(costs: np.ndarray) -> int:
     This is verbatim the manager's historical selection rule, including
     the exact :class:`~repro.errors.CapacityError` message.
     """
-    best = int(np.argmin(costs))
-    if not np.isfinite(costs[best]):
+    best = int(costs.argmin())
+    if not math.isfinite(costs.item(best)):
         raise CapacityError("all active servers are at capacity")
     return best
 
@@ -175,12 +181,12 @@ class ThresholdPolicy(OnlinePolicy):
 
     def choose_server(self, view: PlacementView) -> int:
         nearest = view.nearest_costs()
-        s_near = int(np.argmin(nearest))
+        s_near = int(nearest.argmin())
         paths = view.path_costs()
         s_best = best_finite(paths)
-        if not np.isfinite(nearest[s_near]):
+        if not math.isfinite(nearest.item(s_near)):
             return s_best
-        if paths[s_near] > self.tau * paths[s_best]:
+        if paths.item(s_near) > self.tau * paths.item(s_best):
             return s_best
         return s_near
 

@@ -167,10 +167,9 @@ class _TopList:
             self.clients.pop()
 
     def discard(self, client: int) -> None:
-        try:
-            pos = self.clients.index(client)
-        except ValueError:
+        if client not in self.clients:
             return  # unlisted member: cannot have been the maximum
+        pos = self.clients.index(client)
         self.neg_dists.pop(pos)
         self.clients.pop(pos)
 
@@ -185,8 +184,10 @@ class _TopList:
     ) -> None:
         """Adopt a ready-made top-k selection (descending distances)."""
         self.bound = float(bound)
-        self.neg_dists = [-float(d) for d in dists_desc]
-        self.clients = [int(c) for c in clients]
+        # Negation is exact in any float dtype, and tolist() converts
+        # to Python floats and ints exactly.
+        self.neg_dists = (-dists_desc).tolist()
+        self.clients = clients.tolist()
 
     def snapshot(self) -> Tuple[List[float], List[int], float]:
         return list(self.neg_dists), list(self.clients), self.bound
@@ -263,10 +264,14 @@ class IncrementalObjective:
         # a float64 shadow costs nothing even for float32 matrices (and
         # is free — no copy — for float64 ones).
         self._ss64 = np.asarray(self._ss, dtype=np.float64)
+        # Client legs reach the kernels as float64: views of float64
+        # matrices, exact S-sized upcasts of float32 ones (see _context).
+        self._legs64 = self._cs.dtype == self._sc.dtype == np.float64
         self._kernels = resolve_backend(backend)
         self._k = int(k)
         self._history = bool(history)
         n_clients, n_servers = problem.n_clients, problem.n_servers
+        self._n_clients, self._n_servers = n_clients, n_servers
 
         if server_of is None:
             arr = np.full(n_clients, _UNASSIGNED, dtype=np.int64)
@@ -303,8 +308,8 @@ class IncrementalObjective:
         self._top_in: List[_TopList] = [_TopList(self._k) for _ in range(n_servers)]
         self._l_out = np.full(n_servers, -np.inf)
         self._l_in = np.full(n_servers, -np.inf)
-        for s in np.flatnonzero(self._loads > 0):
-            self._rebuild_server(int(s))
+        for s in np.flatnonzero(self._loads > 0).tolist():
+            self._rebuild_server(s)
 
         # Lazily (re)built caches.
         self._d: Optional[float] = None
@@ -420,7 +425,7 @@ class IncrementalObjective:
         if self._loads[server] <= 0:
             return
         for top in (self._top_out[server], self._top_in[server]):
-            if len(top) == 0 or top.head() < top.bound:
+            if not top.neg_dists or -top.neg_dists[0] < top.bound:
                 self._rebuild_server(server)
                 return
 
@@ -460,7 +465,7 @@ class IncrementalObjective:
         contribution in O(1) per row.
         """
         if self._reductions is None:
-            n_servers = self._problem.n_servers
+            n_servers = self._n_servers
             if self._n_assigned == 0:
                 neg = np.full(n_servers, -np.inf)
                 none = np.full(n_servers, -1, dtype=np.int64)
@@ -572,16 +577,19 @@ class IncrementalObjective:
             and (ctx.d_rest is not None or not with_rest)
         ):
             return ctx
-        home = int(self._server_of[client])
-        reductions = self._server_reduction_cache()
+        home = self._server_of.item(client)
+        reductions = self._reductions
+        if reductions is None:
+            reductions = self._server_reduction_cache()
         if home >= 0:
             l_out_home, l_in_home = self._l_excluding(home, client)
         else:
             l_out_home = l_in_home = -np.inf
-        # The client's legs as float64 rows: a no-copy pass-through for
-        # float64 matrices, an S-sized (tiny) exact upcast for float32.
-        out_leg = np.ascontiguousarray(self._cs[client, :], dtype=np.float64)
-        in_leg = np.ascontiguousarray(self._sc[:, client], dtype=np.float64)
+        out_leg = self._cs[client]
+        in_leg = self._sc[:, client]
+        if not self._legs64:
+            out_leg = out_leg.astype(np.float64)
+            in_leg = in_leg.astype(np.float64)
         # Fused kernel: home-server exclusion via the top-2 reductions
         # (O(1) per row), d_rest when asked for, and the candidate path
         # length through the client at each destination — its outgoing
@@ -615,7 +623,7 @@ class IncrementalObjective:
         O(|S|) on warm caches.
         """
         ctx = self._context(client, False)
-        n = self._problem.n_servers
+        n = self._n_servers
         self._n_evaluations += n
         record_candidate_evaluations(n)
         self._m_batch_sizes.observe(n)
@@ -714,8 +722,6 @@ class IncrementalObjective:
             self._d = max(self._d, float(row.max()), float(col.max()))
 
     def _push_undo(self, client: int, old_server: int, new_server: int) -> None:
-        if not self._history:
-            return
         record = (client, old_server, new_server, self._d)
         snapshots = []
         for s in (old_server, new_server):
@@ -733,34 +739,38 @@ class IncrementalObjective:
 
     def _detach(self, client: int, server: int) -> bool:
         """Remove a member; returns whether the server's ``l`` fell."""
-        l_out, l_in = self._l_out[server], self._l_in[server]
+        l_out, l_in = self._l_out, self._l_in
+        old_out, old_in = l_out.item(server), l_in.item(server)
         self._top_out[server].discard(client)
         self._top_in[server].discard(client)
         self._loads[server] -= 1
         if self._wloads is not None:
             self._wloads[server] -= self._weights[client]
         if self._loads[server] == 0:
-            self._l_out[server] = -np.inf
-            self._l_in[server] = -np.inf
+            new_out = new_in = -np.inf
         else:
             self._ensure_head(server)
-            self._l_out[server] = self._top_out[server].head()
-            self._l_in[server] = self._top_in[server].head()
-        return bool(self._l_out[server] != l_out or self._l_in[server] != l_in)
+            new_out = -self._top_out[server].neg_dists[0]
+            new_in = -self._top_in[server].neg_dists[0]
+        l_out[server] = new_out
+        l_in[server] = new_in
+        return new_out != old_out or new_in != old_in
 
     def _attach(self, client: int, server: int) -> bool:
         """Add a member; returns whether the server's ``l`` rose."""
-        out = float(self._cs[client, server])
-        inn = float(self._sc[server, client])
-        raised = bool(out > self._l_out[server] or inn > self._l_in[server])
+        out = self._cs.item(client, server)
+        inn = self._sc.item(server, client)
+        l_out, l_in = self._l_out.item(server), self._l_in.item(server)
         self._top_out[server].add(out, client)
         self._top_in[server].add(inn, client)
         self._loads[server] += 1
         if self._wloads is not None:
             self._wloads[server] += self._weights[client]
-        self._l_out[server] = max(self._l_out[server], out)
-        self._l_in[server] = max(self._l_in[server], inn)
-        return raised
+        if out > l_out:
+            self._l_out[server] = out
+        if inn > l_in:
+            self._l_in[server] = inn
+        return out > l_out or inn > l_in
 
     def apply(self, client: int, new_server: int) -> None:
         """Commit ``client -> new_server`` (assigning if unassigned).
@@ -771,18 +781,19 @@ class IncrementalObjective:
         lowered ``l`` at the origin drops both, to be rebuilt lazily on
         the next query.
         """
-        if not 0 <= new_server < self._problem.n_servers:
+        if not 0 <= new_server < self._n_servers:
             raise InvalidAssignmentError(
                 f"server index {new_server} out of range "
-                f"[0, {self._problem.n_servers})"
+                f"[0, {self._n_servers})"
             )
-        if not 0 <= client < self._problem.n_clients:
+        if not 0 <= client < self._n_clients:
             raise InvalidAssignmentError(
                 f"client index {client} out of range "
-                f"[0, {self._problem.n_clients})"
+                f"[0, {self._n_clients})"
             )
-        old_server = int(self._server_of[client])
-        self._push_undo(client, old_server, new_server)
+        old_server = self._server_of.item(client)
+        if self._history:
+            self._push_undo(client, old_server, new_server)
         if old_server == new_server:
             return  # no-op move; the undo record keeps apply/undo paired
         # Update the mapping *before* detaching: a lazy rebuild inside
@@ -813,10 +824,10 @@ class IncrementalObjective:
         batch = np.asarray(clients, dtype=np.int64)
         if batch.size == 0:
             return
-        if not 0 <= server < self._problem.n_servers:
+        if not 0 <= server < self._n_servers:
             raise InvalidAssignmentError(
                 f"server index {server} out of range "
-                f"[0, {self._problem.n_servers})"
+                f"[0, {self._n_servers})"
             )
         homes = self._server_of[batch]
         if np.any(homes >= 0):
@@ -870,15 +881,16 @@ class IncrementalObjective:
 
     def unassign(self, client: int) -> None:
         """Remove ``client`` from the assignment (online ``leave``)."""
-        if not 0 <= client < self._problem.n_clients:
+        if not 0 <= client < self._n_clients:
             raise InvalidAssignmentError(
                 f"client index {client} out of range "
-                f"[0, {self._problem.n_clients})"
+                f"[0, {self._n_clients})"
             )
-        server = int(self._server_of[client])
+        server = self._server_of.item(client)
         if server < 0:
             raise InvalidAssignmentError(f"client {client} is not assigned")
-        self._push_undo(client, server, _UNASSIGNED)
+        if self._history:
+            self._push_undo(client, server, _UNASSIGNED)
         # Mapping first, for the same reason as in apply(): rebuilds
         # inside _detach read membership from server_of.
         self._server_of[client] = _UNASSIGNED

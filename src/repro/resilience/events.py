@@ -113,19 +113,18 @@ def apply_event(
     extras: Dict[str, Any] = {}
     if op == "join":
         node = data["node"]
+        # An admitted join found the machine healthy, and a healthy
+        # tick never drains the backlog, so the server is final here.
+        server = None
         if degrade.state != HEALTHY:
             outcome = degrade.admission_blocked(node, "degraded")
         else:
             try:
-                manager.join(node)
+                server = manager.join(node)
                 outcome = "assigned"
             except CapacityError:
                 outcome = degrade.admission_blocked(node, "capacity-exhausted")
-        # An admitted join found the machine healthy, and a healthy
-        # tick never drains the backlog, so the server is final here.
-        extras["server"] = (
-            manager.server_of(node) if outcome == "assigned" else None
-        )
+        extras["server"] = server
     elif op == "leave":
         node = data["node"]
         if manager.is_connected(node):

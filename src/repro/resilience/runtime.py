@@ -204,44 +204,32 @@ class _NullWal:
     runtime's log-then-apply shape — every event still receives a
     contiguous sequence number so ``applied_seq`` and therefore the
     state digest match a WAL-backed twin byte for byte — without
-    touching the filesystem.
+    touching the filesystem. It keeps nothing but the number: the
+    runtime reads ``next_seq`` before an append, as it does for a real
+    log, so :meth:`append` builds no record.
     """
 
-    __slots__ = ("_next_seq", "_closed")
+    __slots__ = ("next_seq", "closed")
 
     path = None
 
     def __init__(self, *, next_seq: int = 1) -> None:
-        self._next_seq = int(next_seq)
-        self._closed = False
+        self.next_seq = int(next_seq)
+        self.closed = False
 
-    @property
-    def next_seq(self) -> int:
-        return self._next_seq
-
-    @property
-    def last_seq(self) -> int:
-        return self._next_seq - 1
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def append(self, kind: str, data: Optional[Dict[str, Any]] = None) -> WalRecord:
-        if self._closed:
+    def append(self, kind: str, data: Optional[Dict[str, Any]] = None) -> None:
+        if self.closed:
             raise ResilienceError("write-ahead log is closed")
-        record = WalRecord(seq=self._next_seq, kind=kind, data=dict(data or {}))
-        self._next_seq += 1
-        return record
+        self.next_seq += 1
 
     def sync(self) -> None:
         pass
 
     def close(self) -> None:
-        self._closed = True
+        self.closed = True
 
     def abandon(self) -> None:
-        self._closed = True
+        self.closed = True
 
 
 class DurableRuntime:
@@ -348,8 +336,8 @@ class DurableRuntime:
             self._wal = _NullWal()
         # Genesis record: recovery can rebuild from a bare WAL (no
         # checkpoint yet) knowing nothing but the directory + matrix.
-        record = self._wal.append("open", config)
-        self._applied_seq = record.seq
+        self._applied_seq = self._wal.next_seq
+        self._wal.append("open", config)
 
     # ------------------------------------------------------------------
     def _init_core(
@@ -401,7 +389,6 @@ class DurableRuntime:
         self._degrade = DegradeController(self._manager, degrade_policy)
         self._applied_seq = 0
         self._last_checkpoint_seq = 0
-        self._replaying = False
         self._closed = False
         self._wal: Optional[Union[WriteAheadLog, _NullWal]] = None
 
@@ -470,12 +457,8 @@ class DurableRuntime:
                 runtime._restore_state(checkpoint.state)
                 runtime._last_checkpoint_seq = checkpoint.seq
             tail = [r for r in records if r.seq > runtime._applied_seq]
-            runtime._replaying = True
-            try:
-                for record in tail:
-                    runtime._apply_record(record)
-            finally:
-                runtime._replaying = False
+            for record in tail:
+                runtime._apply_record(record)
             last_seq = max(
                 runtime._applied_seq,
                 records[-1].seq if records else 0,
@@ -626,7 +609,8 @@ class DurableRuntime:
         The WAL is synced first so a checkpoint never describes state
         more durable than the log that produced it.
         """
-        self._require_open()
+        if self._closed or self._wal.closed:
+            raise ResilienceError("runtime is closed")
         self._wal.sync()
         path = write_checkpoint(
             self._directory,
@@ -645,11 +629,26 @@ class DurableRuntime:
 
         Returns ``(outcome, extras)`` as
         :func:`~repro.resilience.events.apply_event` does; an event the
-        current state refuses raises before anything is logged.
+        current state refuses raises before anything is logged. A
+        checkpoint is written once ``checkpoint_every`` events have
+        been applied since the last one.
         """
-        self._require_open()
+        wal = self._wal
+        if self._closed or wal.closed:
+            raise ResilienceError("runtime is closed")
         data = check_event(self._manager, self._controller, self._degrade, op, data)
-        return self._apply_logged(self._wal.append(op, data))
+        seq = wal.next_seq
+        wal.append(op, data)
+        result = apply_event(
+            self._manager, self._controller, self._degrade, op, data, time=float(seq)
+        )
+        self._applied_seq = seq
+        if (
+            self._checkpoint_every
+            and seq - self._last_checkpoint_seq >= self._checkpoint_every
+        ):
+            self.checkpoint()
+        return result
 
     def join(self, node: int) -> str:
         """Admit a client; returns ``"assigned"``/``"queued"``/``"rejected"``."""
@@ -688,15 +687,23 @@ class DurableRuntime:
         return self.apply("rebalance", {"max_moves": max_moves})[1]["moves"]
 
     # ------------------------------------------------------------------
-    # Re-execution (live events and WAL replay share one applier)
+    # Re-execution (live events and WAL replay share one applier,
+    # :func:`~repro.resilience.events.apply_event`)
     # ------------------------------------------------------------------
     def _apply_record(self, record: WalRecord) -> None:
-        """Re-execute one WAL record during recovery."""
+        """Re-execute one WAL record during recovery (no checkpoints:
+        the state being rebuilt is already on disk)."""
         try:
-            if record.kind == "open":
-                self._applied_seq = record.seq
-                return
-            self._apply_logged(record)
+            if record.kind != "open":
+                apply_event(
+                    self._manager,
+                    self._controller,
+                    self._degrade,
+                    record.kind,
+                    record.data,
+                    time=float(record.seq),
+                )
+            self._applied_seq = record.seq
         except ResilienceError:
             raise
         except Exception as exc:
@@ -705,33 +712,9 @@ class DurableRuntime:
                 f"kind={record.kind!r} failed: {exc}"
             ) from exc
 
-    def _apply_logged(self, record: WalRecord) -> Tuple[str, Dict[str, Any]]:
-        """Apply one logged event (a live append or a replayed record)."""
-        result = apply_event(
-            self._manager,
-            self._controller,
-            self._degrade,
-            record.kind,
-            record.data,
-            time=float(record.seq),
-        )
-        self._applied_seq = record.seq
-        if (
-            not self._replaying
-            and self._checkpoint_every
-            and self._applied_seq - self._last_checkpoint_seq
-            >= self._checkpoint_every
-        ):
-            self.checkpoint()
-        return result
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def _require_open(self) -> None:
-        if self._closed or self._wal is None or self._wal.closed:
-            raise ResilienceError("runtime is closed")
-
     def close(self) -> None:
         """Sync the WAL and release resources (idempotent)."""
         if self._closed:

@@ -125,6 +125,9 @@ class ShardedOnlineManager:
                     client_nodes=np.asarray(nodes, dtype=np.int64),
                 )
             )
+        metrics = registry()
+        self._m_joins = metrics.counter("scale.sharded.joins")
+        self._m_leaves = metrics.counter("scale.sharded.leaves")
 
     # ------------------------------------------------------------------
     @property
@@ -231,7 +234,7 @@ class ShardedOnlineManager:
             dtype=np.float64,
         )
 
-    def _nearest_join_costs(self, client_node: int) -> np.ndarray:
+    def nearest_join_costs(self, client_node: int) -> np.ndarray:
         """The client's outgoing legs, capacity-masked against global loads."""
         costs = self._out_leg(client_node).copy()
         if self._config.capacity is not None:
@@ -274,17 +277,6 @@ class ShardedOnlineManager:
             costs = np.where(loads >= self._config.capacity, np.inf, costs)
         return costs
 
-    def placement_view(self, client_node: int) -> PlacementView:
-        """The policy's view of one arriving client (merged global state)."""
-        return PlacementView(
-            client_node=client_node,
-            n_servers=self.n_servers,
-            capacity=self._config.capacity,
-            nearest_costs=lambda: self._nearest_join_costs(client_node),
-            path_costs=lambda: self._path_join_costs(client_node),
-            loads=self.loads,
-        )
-
     @property
     def policy(self) -> OnlinePolicy:
         """The resolved placement policy shared by this manager."""
@@ -293,6 +285,8 @@ class ShardedOnlineManager:
     def candidate_costs(self, client_node: int) -> np.ndarray:
         """Public masked ``L(s')`` vector for a client (policy seam).
 
+        For an arriving client this is the cost vector a policy ranks
+        (:meth:`~repro.algorithms.policies.PlacementView.path_costs`).
         Mirrors :meth:`OnlineAssignmentManager.candidate_costs` from
         merged global state. A connected client's own contribution is
         *not* removed from the merged ``l`` vectors (the reduction
@@ -313,23 +307,23 @@ class ShardedOnlineManager:
         """Connect a new client; returns its assigned local server index.
 
         The placement decision is delegated to the shared policy over a
-        merged-state :meth:`placement_view`; the binding is then
-        installed into the owning region shard.
+        merged-state :class:`~repro.algorithms.policies.PlacementView`;
+        the binding is then installed into the owning region shard.
         """
         manager = self._managers[self.shard_of_node(client_node)]
         if manager.is_connected(client_node):
             raise InvalidAssignmentError(
                 f"client {client_node} already connected"
             )
-        best = self._policy.choose_server(self.placement_view(client_node))
+        best = self._policy.choose_server(PlacementView(self, client_node))
         manager.restore_client(client_node, best)
-        registry().counter("scale.sharded.joins").inc()
+        self._m_joins.inc()
         return best
 
     def leave(self, client_node: int) -> None:
         """Disconnect a client from its region shard."""
         self._managers[self.shard_of_node(client_node)].leave(client_node)
-        registry().counter("scale.sharded.leaves").inc()
+        self._m_leaves.inc()
 
     def move(self, client_node: int, server: int) -> None:
         """Reassign a connected client (delegated to its shard).

@@ -375,16 +375,13 @@ class ShardedSessionRuntime:
     def apply(self, op: str, data: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
         """Check then apply one event (no failover controller, so
         fault ops raise :class:`~repro.errors.SessionStateError`)."""
-        self._require_open()
+        if self._closed:
+            raise ResilienceError("runtime is closed")
         data = check_event(self._manager, None, self._degrade, op, data)
         self._applied_seq += 1
         return apply_event(self._manager, None, self._degrade, op, data)
 
     # -- lifecycle -----------------------------------------------------
-    def _require_open(self) -> None:
-        if self._closed:
-            raise ResilienceError("runtime is closed")
-
     def close(self) -> None:
         """Release the runtime (idempotent; nothing to sync)."""
         self._closed = True
@@ -406,6 +403,11 @@ class Session:
         self.runtime = runtime
         self.events = 0
         self.closed = False
+        # Every event envelope reads the manager and the degrade
+        # machine; bind them once instead of hopping through the
+        # runtime's properties per event.
+        self._manager = runtime.manager
+        self._degrade = runtime.degrade
 
     # ------------------------------------------------------------------
     def info(self) -> SessionInfo:
@@ -418,25 +420,25 @@ class Session:
             durability=self.config.durability.mode,
         )
 
-    def _event_envelope(self, op: str, outcome: str, **extra: Any) -> Dict[str, Any]:
-        """The canonical per-event reply.
+    def _event_envelope(
+        self, op: str, outcome: str, extras: Dict[str, Any]
+    ) -> Dict[str, Any]:
+        """The canonical per-event reply: ``extras`` (the applier's
+        fresh dict, filled in place) plus the state keys.
 
         ``d`` is the hex-encoded current D (byte-stable across paths);
         the same five keys — op, outcome, d, clients, health — form
         the trajectory entries of the output-equivalence contract.
         """
         self.events += 1
-        runtime = self.runtime
-        result = {
-            "op": op,
-            "outcome": outcome,
-            "d": encode_float(runtime.current_d()),
-            "clients": runtime.n_clients,
-            "health": runtime.health,
-            "seq": runtime.applied_seq,
-        }
-        result.update(extra)
-        return result
+        manager = self._manager
+        extras["op"] = op
+        extras["outcome"] = outcome
+        extras["d"] = encode_float(manager.current_d())
+        extras["clients"] = manager.n_clients
+        extras["health"] = self._degrade.state
+        extras["seq"] = self.runtime.applied_seq
+        return extras
 
     def apply_event(self, op: str, params: Dict[str, Any]) -> Dict[str, Any]:
         """Apply one session event and build its reply envelope."""
@@ -445,7 +447,7 @@ class Session:
             raise UnknownOperationError(f"unknown session event op {op!r}")
         key, require = spec
         outcome, extras = self.runtime.apply(op, {key: require(params, key)})
-        return self._event_envelope(op, outcome, **extras)
+        return self._event_envelope(op, outcome, extras)
 
     def query(self, what: str) -> Dict[str, Any]:
         """Read-only session introspection."""
@@ -752,29 +754,34 @@ class AssignmentService:
     def _batch(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Apply a list of session events in order (throughput path).
 
-        Individual event failures become inline ``error`` entries and
-        the batch continues — matching the tolerance of the library
-        replay path, and keeping one bad event from poisoning a
-        pipelined stream.
+        The whole list is checked for shape (objects carrying a session
+        event op) before any event is applied, so a refused batch
+        changes nothing. Individual event failures become inline
+        ``error`` entries and the batch continues — matching the
+        tolerance of the library replay path, and keeping one bad event
+        from poisoning a pipelined stream.
         """
         session = self.session(request.get("session"))
         events = request.get("events")
         if not isinstance(events, list):
             raise BadRequestError("'events' must be a list")
-        results: List[Dict[str, Any]] = []
-        metrics = registry()
         for event in events:
             if not isinstance(event, dict):
                 raise BadRequestError("each batch event must be an object")
             op = event.get("op")
-            if op not in EVENT_OPS:
+            if not isinstance(op, str) or op not in EVENT_OPS:
                 raise BadRequestError(
                     f"batch events must be one of {sorted(EVENT_OPS)}, "
                     f"got {op!r}"
                 )
+        results: List[Dict[str, Any]] = []
+        applied: Dict[str, int] = {}
+        apply_event = session.apply_event
+        metrics = registry()
+        for event in events:
+            op = event["op"]
             try:
-                results.append(session.apply_event(op, event))
-                metrics.counter(f"service.events.{op}").inc()
+                results.append(apply_event(op, event))
             except ReproError as exc:
                 metrics.counter("service.errors").inc()
                 metrics.counter(f"service.errors.{type(exc).code}").inc()
@@ -787,6 +794,10 @@ class AssignmentService:
                         },
                     }
                 )
+            else:
+                applied[op] = applied.get(op, 0) + 1
+        for op, count in applied.items():
+            metrics.counter(f"service.events.{op}").inc(count)
         return {"results": results, "count": len(results)}
 
     # ------------------------------------------------------------------

@@ -286,6 +286,43 @@ class TestBatch:
         reply = service.handle({"op": "batch", "session": sid, "events": "nope"})
         assert reply["error"]["code"] == "bad-request"
 
+    @pytest.mark.parametrize("durability", ["off", "wal"])
+    @pytest.mark.parametrize(
+        "bad", [7, {"op": "bogus"}, {"node": 3}, {"op": ["join"], "node": 3}]
+    )
+    def test_refused_batch_applies_nothing(self, service, durability, bad):
+        """A batch refused for a malformed event leaves the session as
+        it was, even when valid events come before the bad one."""
+        sid = _open(service, durability=durability)
+        service.handle(
+            {"op": "batch", "session": sid, "events": [{"op": "join", "node": 5}]}
+        )
+        session = service.session(sid)
+        wal_path = session.runtime.wal.path
+
+        def state():
+            digest = service.handle({"op": "query", "session": sid, "what": "digest"})
+            stats = service.handle({"op": "query", "session": sid, "what": "stats"})
+            if wal_path is None:
+                wal_bytes = None
+            else:
+                session.runtime.wal.sync()
+                with open(wal_path, "rb") as fh:
+                    wal_bytes = fh.read()
+            return (
+                digest["result"],
+                stats["result"]["n_clients"],
+                session.events,
+                wal_bytes,
+            )
+
+        before = state()
+        events = [{"op": "join", "node": 1}, {"op": "join", "node": 2}, bad]
+        reply = service.handle({"op": "batch", "session": sid, "events": events})
+        assert reply["error"]["code"] == "bad-request"
+        assert state() == before
+        assert before[0]["seq"] == 2 and before[1] == 1
+
 
 class TestServiceLifecycle:
     def test_close_is_idempotent_and_final(self):
