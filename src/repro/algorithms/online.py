@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -86,20 +86,12 @@ class OnlineConfig:
         farthest-client lists (default
         :data:`repro.core.incremental.DEFAULT_TOP_K`). Larger values
         trade memory for fewer lazy rebuilds under heavy churn.
-    shards:
-        Number of region shards for
-        :class:`~repro.scale.sharded.ShardedOnlineManager` (default 1 =
-        a single unsharded manager). The plain
-        :class:`OnlineAssignmentManager` ignores this knob; it exists on
-        the config so the service layer can carry one serialized object
-        for both deployment shapes.
     """
 
     capacity: Optional[int] = None
     join_policy: str = "greedy"
     backend: str = "auto"
     top_k: int = DEFAULT_TOP_K
-    shards: int = 1
 
     def __post_init__(self) -> None:
         if self.capacity is not None and self.capacity < 1:
@@ -114,10 +106,6 @@ class OnlineConfig:
             raise InvalidParameterError(
                 f"top_k must be >= 2, got {self.top_k}"
             )
-        if self.shards < 1:
-            raise InvalidParameterError(
-                f"shards must be >= 1, got {self.shards}"
-            )
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable view (stable keys, scalars only)."""
@@ -126,14 +114,13 @@ class OnlineConfig:
             "join_policy": self.join_policy,
             "backend": self.backend,
             "top_k": int(self.top_k),
-            "shards": int(self.shards),
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "OnlineConfig":
         """Rebuild a config from :meth:`to_dict` output.
 
-        ``backend`` / ``top_k`` / ``shards`` default when absent so
+        ``backend`` / ``top_k`` default when absent so
         configs (and checkpoints) serialized before those knobs existed
         keep loading.
         """
@@ -143,7 +130,6 @@ class OnlineConfig:
             join_policy=str(data.get("join_policy", "greedy")),
             backend=str(data.get("backend", "auto")),
             top_k=int(data.get("top_k", DEFAULT_TOP_K)),
-            shards=int(data.get("shards", 1)),
         )
 
     def merge_legacy_kwargs(
@@ -193,10 +179,9 @@ class OnlineAssignmentManager:
         ``join_policy=`` keywords remain accepted but deprecated.
     client_nodes:
         Optional restriction of the joinable client universe to these
-        node indices (the region-sharding hook:
-        :class:`~repro.scale.sharded.ShardedOnlineManager` gives each
-        shard the nodes routed to it). ``None`` (the default) keeps the
-        historical behavior — every node may join.
+        node indices (the scenario harness passes a planet instance's
+        client nodes). ``None`` (the default) keeps the historical
+        behavior — every node may join.
 
     Notes
     -----
@@ -547,14 +532,6 @@ class OnlineAssignmentManager:
         """
         return self._engine.d()
 
-    def l_vectors(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(l_out, l_in)`` per-server farthest-client legs (copies).
-
-        Unused servers hold ``-inf``. The sharded manager merges these
-        across shards (elementwise max) to recover the exact global D.
-        """
-        return self._engine.l_vectors()
-
     def candidate_costs(self, client_node: int) -> np.ndarray:
         """Masked ``L(s')`` vector for a client (policy seam).
 
@@ -649,28 +626,15 @@ class OnlineAssignmentManager:
         self._members[server].add(client_node)
         self._engine.apply(engine_idx, server)
 
-    def rebalance(
-        self,
-        *,
-        max_moves: int = 16,
-        reserved: Optional[np.ndarray] = None,
-    ) -> int:
-        """Run bounded Distributed-Greedy repair; returns moves made.
-
-        ``reserved`` (length ``|S|``) subtracts externally-held slots
-        from this manager's uniform capacity during repair — the
-        region-sharding layer passes the other shards' per-server loads
-        so a shard's repair can never overfill a server globally.
-        """
+    def rebalance(self, *, max_moves: int = 16) -> int:
+        """Run bounded Distributed-Greedy repair; returns moves made."""
         if len(self._assigned) < 1 or max_moves < 1:
             return 0
-        result = self._run_dga(max_moves, reserved)
+        result = self._run_dga(max_moves)
         registry().counter("online.rebalance_moves").inc(result)
         return result
 
-    def _run_dga(
-        self, max_moves: int, reserved: Optional[np.ndarray] = None
-    ) -> int:
+    def _run_dga(self, max_moves: int) -> int:
         from repro.algorithms.distributed_greedy import distributed_greedy_detailed
 
         # Repair runs over the *usable* servers only, so a bounded
@@ -697,17 +661,11 @@ class OnlineAssignmentManager:
         homes = all_homes[reachable][order]
         if not nodes_arr.size or usable.size == 0:
             return 0
-        capacities: Union[None, int, np.ndarray] = self._capacity
-        if capacities is not None and reserved is not None:
-            capacities = (
-                np.full(usable.size, int(capacities), dtype=np.int64)
-                - np.asarray(reserved, dtype=np.int64)[usable]
-            )
         problem = ClientAssignmentProblem(
             self._matrix,
             self._servers[usable],
             clients=nodes_arr,
-            capacities=capacities,
+            capacities=self._capacity,
         )
         to_sub = np.full(self.n_servers, -1, dtype=np.int64)
         to_sub[usable] = np.arange(usable.size)

@@ -4,10 +4,9 @@ The online manager's join decision used to be a two-way branch on
 ``join_policy in ("greedy", "nearest")``. This module turns that branch
 into a small protocol so new placement rules — in particular the
 remediation strategies of the online facility assignment literature
-(threshold-based reassignment, capacity-aware spread) — plug into both
-:class:`~repro.algorithms.online.OnlineAssignmentManager` and
-:class:`~repro.scale.sharded.ShardedOnlineManager` without touching
-either manager.
+(threshold-based reassignment, capacity-aware spread) — plug into
+:class:`~repro.algorithms.online.OnlineAssignmentManager` without
+touching the manager.
 
 A policy sees one arriving client through a :class:`PlacementView`: a
 lazy bundle of per-server cost vectors (nearest legs and full candidate
@@ -43,9 +42,8 @@ class PlacementView:
     """What a policy sees when placing one arriving client.
 
     Bound to the manager placing the client — an
-    :class:`~repro.algorithms.online.OnlineAssignmentManager` or a
-    :class:`~repro.scale.sharded.ShardedOnlineManager`, both of which
-    provide ``n_servers``, ``capacity``, ``loads()``,
+    :class:`~repro.algorithms.online.OnlineAssignmentManager`, which
+    provides ``n_servers``, ``capacity``, ``loads()``,
     ``nearest_join_costs(node)`` and ``candidate_costs(node)``. Cost
     vectors are built lazily (a nearest-style policy never pays for the
     ``L(s')`` reduction) and cached (a policy may consult both without
@@ -85,7 +83,7 @@ class PlacementView:
         return self._paths
 
     def loads(self) -> np.ndarray:
-        """Current per-server client counts (global, all shards)."""
+        """Current per-server client counts."""
         if self._loads is None:
             self._loads = self._manager.loads()
         return self._loads

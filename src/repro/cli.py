@@ -368,11 +368,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="load a scenario JSON document instead of a bundled one",
     )
     scen_shared.add_argument(
-        "--path", choices=("library", "sharded", "wire"), default="library",
-        help="execution path: plain manager, region-sharded, or live TCP",
-    )
-    scen_shared.add_argument(
-        "--shards", type=int, default=4, help="shard count for --path sharded"
+        "--path", choices=("library", "wire"), default="library",
+        help="execution path: plain manager or live TCP",
     )
     scen_shared.add_argument(
         "--checkpoint-every", type=int, default=32,
@@ -1003,7 +1000,6 @@ def _replay_options(args: argparse.Namespace):
         offline = None
     return ReplayOptions(
         path=args.path,
-        shards=args.shards,
         checkpoint_every=args.checkpoint_every,
         maintain_moves=args.maintain_moves,
         offline_algorithm=offline,

@@ -12,8 +12,7 @@ height terms.
 
 Servers are placed deterministically at the cluster centers of the
 largest clusters (one per cluster, round-robin when ``n_servers``
-exceeds the cluster count), which is the deployed-CDN shape the
-region-sharded online manager assumes.
+exceeds the cluster count), which is the deployed-CDN shape.
 """
 
 from __future__ import annotations

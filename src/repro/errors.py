@@ -284,8 +284,7 @@ class ScenarioError(ReproError):
 
     Examples: a segment with a nonpositive duration, a JSON document
     with an unknown segment kind, or a replay path that cannot host the
-    scenario (fault events through a sharded manager, a planet instance
-    over the wire).
+    scenario (a planet instance over the wire).
     """
 
     code = "scenario-error"

@@ -16,8 +16,8 @@ The package's telemetry layer, used by every subsystem:
   telemetry back into the parent);
 - :mod:`repro.obs.report` — trace summarization behind the
   ``repro obs`` CLI subcommand;
-- :mod:`repro.obs.timing` — the :class:`Stopwatch` (formerly
-  ``repro.utils.timing``) and registry-backed :func:`timed` blocks.
+- :mod:`repro.obs.timing` — the :class:`Stopwatch` and
+  registry-backed :func:`timed` blocks.
 
 Two invariants every instrumentation site preserves: telemetry never
 feeds back into a decision (results are bit-identical with any sink and

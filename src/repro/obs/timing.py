@@ -1,11 +1,10 @@
 """Wall-clock timing helpers, unified with the metrics registry.
 
 :class:`Stopwatch` is the package's historical context-manager timer
-(formerly ``repro.utils.timing.Stopwatch``; a deprecation shim keeps the
-old import path alive). :func:`timed` couples a stopwatch to the
-registry: the elapsed time lands in a named histogram (and an optional
-counter pair) so repeated timings aggregate without any caller-side
-bookkeeping.
+(also re-exported from :mod:`repro.utils`). :func:`timed` couples a
+stopwatch to the registry: the elapsed time lands in a named histogram
+(and an optional counter pair) so repeated timings aggregate without any
+caller-side bookkeeping.
 """
 
 from __future__ import annotations

@@ -1,28 +1,25 @@
 """The one event semantics of the online assignment stack.
 
 Every path except the oracle — :class:`~repro.resilience.runtime.
-DurableRuntime` (live events and WAL re-execution), sharded service
-sessions, the chaos harness and the scenario harness — maps
-wire-vocabulary events (``{"op": "join", "node": 7}``,
-``{"op": "partition", "servers": [2]}``, ``{"op": "rebalance",
-"max_moves": 8}``, ...) onto the (manager, failover controller, degrade
-machine) stack through :func:`check_event`, which validates before
-anything is logged and returns the canonical record data the WAL
-stores, and :func:`apply_event`. A stack without a failover controller
-(sharded sessions) refuses fault ops. :mod:`repro.service.replay`
-keeps an independent copy on purpose: it is the oracle the equivalence
-suite checks this one against.
+DurableRuntime` (live events and WAL re-execution), the chaos harness
+and the scenario harness — maps wire-vocabulary events
+(``{"op": "join", "node": 7}``, ``{"op": "partition", "servers": [2]}``,
+``{"op": "rebalance", "max_moves": 8}``, ...) onto the (manager,
+failover controller, degrade machine) stack through :func:`check_event`,
+which validates before anything is logged and returns the canonical
+record data the WAL stores, and :func:`apply_event`.
+:mod:`repro.service.replay` keeps an independent copy on purpose: it is
+the oracle the equivalence suite checks this one against.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.errors import (
     CapacityError,
     InvalidAssignmentError,
     InvalidParameterError,
-    SessionStateError,
     UnknownOperationError,
 )
 from repro.faults.failover import FailoverController
@@ -34,12 +31,10 @@ EVENT_OPS = frozenset(
     {"join", "leave", "crash", "recover", "partition", "heal", "rebalance"}
 )
 
-_FAULT_OPS = frozenset({"crash", "recover", "partition", "heal"})
-
 
 def check_event(
     manager: Any,
-    controller: Optional[FailoverController],
+    controller: FailoverController,
     degrade: DegradeController,
     op: str,
     data: Dict[str, Any],
@@ -52,11 +47,6 @@ def check_event(
     """
     if op not in EVENT_OPS:
         raise UnknownOperationError(f"unknown session event op {op!r}")
-    if controller is None and op in _FAULT_OPS:
-        raise SessionStateError(
-            f"sharded sessions do not support server fault events "
-            f"({op}); open the session with shards=1 for fault testing"
-        )
     if op == "join":
         node = int(data["node"])
         if not 0 <= node < manager.matrix.n_nodes:
@@ -95,7 +85,7 @@ def check_event(
 
 def apply_event(
     manager: Any,
-    controller: Optional[FailoverController],
+    controller: FailoverController,
     degrade: DegradeController,
     op: str,
     data: Dict[str, Any],

@@ -213,8 +213,8 @@ class _NullWal:
 
     path = None
 
-    def __init__(self, *, next_seq: int = 1) -> None:
-        self.next_seq = int(next_seq)
+    def __init__(self) -> None:
+        self.next_seq = 1
         self.closed = False
 
     def append(self, kind: str, data: Optional[Dict[str, Any]] = None) -> None:

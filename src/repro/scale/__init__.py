@@ -1,9 +1,9 @@
-"""Million-client scaling layer: coresets, pipelines, region shards.
+"""Million-client scaling layer: coresets and the reduced-solve pipeline.
 
 The paper's heuristics are O(|C| |S|) and beyond in time but — more
 restrictively — O(|C| |S|) in *memory* through the dense distance views
 every :class:`~repro.core.problem.ClientAssignmentProblem` precomputes.
-This package breaks that barrier in three composable stages:
+This package breaks that barrier in two composable stages:
 
 - :mod:`repro.scale.coreset` — collapse clients with near-identical
   latency profiles into weighted **super-clients**, with an explicit
@@ -17,13 +17,8 @@ This package breaks that barrier in three composable stages:
   :class:`~repro.net.provider.CoordinateProvider`, a 10^6-client
   instance solves end to end without ever allocating a dense
   ``|C| x |S|`` block.
-- :mod:`repro.scale.sharded` — a region-sharded online manager routing
-  joins/leaves to per-shard
-  :class:`~repro.algorithms.online.OnlineAssignmentManager` instances
-  and recovering the exact global D by merging per-shard farthest-client
-  vectors.
 
-See ``docs/scaling.md`` for the guarantees and the deployment model.
+See ``docs/scaling.md`` for the guarantees.
 """
 
 from repro.scale.coreset import Coreset, build_coreset
@@ -33,7 +28,6 @@ from repro.scale.pipeline import (
     publish_reduced_views,
     solve_at_scale,
 )
-from repro.scale.sharded import ShardedOnlineManager
 
 __all__ = [
     "Coreset",
@@ -42,5 +36,4 @@ __all__ = [
     "solve_at_scale",
     "expanded_objective",
     "publish_reduced_views",
-    "ShardedOnlineManager",
 ]

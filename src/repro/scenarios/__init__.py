@@ -3,10 +3,9 @@
 Declarative, seeded scenario documents (:mod:`repro.scenarios.dsl`)
 compile to fixed event traces that replay through any registered
 :class:`~repro.algorithms.policies.OnlinePolicy` — via the plain
-manager, the region-sharded manager, or a live wire session — while
-the harness (:mod:`repro.scenarios.harness`) measures the empirical
-competitive ratio against the paper's §V super-optimal lower bound at
-checkpoints. See ``docs/scenarios.md`` for the authoring guide.
+manager or a live wire session — while the harness
+(:mod:`repro.scenarios.harness`) measures the empirical competitive
+ratio against the paper's §V super-optimal lower bound at checkpoints. See ``docs/scenarios.md`` for the authoring guide.
 """
 
 from repro.scenarios.catalog import bundled_scenario, scenario_names

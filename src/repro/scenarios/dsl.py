@@ -66,7 +66,7 @@ class InstanceSpec:
     """The problem instance a scenario runs against.
 
     ``kind`` selects the generator: ``"planet"`` (coordinate provider,
-    library/sharded paths only) or ``"meridian"``/``"mit"`` (dense
+    library path only) or ``"meridian"``/``"mit"`` (dense
     synthetic matrices, placement-resolved servers — the kinds the wire
     service can synthesize, so these replay over TCP too).
     """

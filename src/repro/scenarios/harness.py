@@ -20,21 +20,19 @@ Lower bounds are served by the process-global
 on one scenario recomputes each checkpoint bound once, not P times
 (hit/miss counters land in the ``repro obs`` report).
 
-Three execution paths, all with the semantics the service serves:
+Two execution paths, both with the semantics the service serves:
 ``library`` (an :class:`~repro.algorithms.online.OnlineAssignmentManager`
 with a :class:`~repro.faults.failover.FailoverController` and a
 :class:`~repro.resilience.degrade.DegradeController` configured like a
 default service session, driven through
-:func:`~repro.resilience.events.apply_event`), ``sharded`` (the same
-over a :class:`~repro.scale.sharded.ShardedOnlineManager` with no
-failover controller; fault events are rejected, mirroring the service's
-sharded sessions), and ``wire`` (a live :mod:`repro.service` TCP
-session; meridian/mit instances, fault events included). A crash sheds
-only the stranded clients no survivor can hold, farthest first; a join
-that cannot be admitted queues FIFO up to the backlog watermark (and
-is counted as ``rejected`` either way). :func:`compare_policies` fans
-replays out through :class:`~repro.parallel.pool.TrialPool` —
-``workers=0`` is the bit-identical serial twin.
+:func:`~repro.resilience.events.apply_event`) and ``wire`` (a live
+:mod:`repro.service` TCP session; meridian/mit instances, fault events
+included). A crash sheds only the stranded clients no survivor can
+hold, farthest first; a join that cannot be admitted queues FIFO up to
+the backlog watermark (and is counted as ``rejected`` either way).
+:func:`compare_policies` fans replays out through
+:class:`~repro.parallel.pool.TrialPool` — ``workers=0`` is the
+bit-identical serial twin.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ from repro.resilience.degrade import DegradeController, DegradePolicy
 from repro.resilience.events import apply_event, check_event
 from repro.scenarios.dsl import BuiltInstance, Scenario, ScenarioTrace
 
-_PATHS = ("library", "sharded", "wire")
+_PATHS = ("library", "wire")
 
 #: Guard band for the ratio >= 1 invariant (float roundoff only).
 RATIO_TOLERANCE = 1e-9
@@ -69,7 +67,6 @@ class ReplayOptions:
     """Knobs of one scenario replay."""
 
     path: str = "library"
-    shards: int = 4
     checkpoint_every: int = 32
     #: Budget for ``policy.maintain`` after each event (0 disables;
     #: ignored on the wire path, which has no maintenance op).
@@ -84,8 +81,6 @@ class ReplayOptions:
             raise ScenarioError(
                 f"path must be one of {_PATHS}, got {self.path!r}"
             )
-        if self.shards < 1:
-            raise ScenarioError(f"shards must be >= 1, got {self.shards}")
         if self.checkpoint_every < 1:
             raise ScenarioError(
                 f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
@@ -102,7 +97,6 @@ class ReplayOptions:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "path": self.path,
-            "shards": self.shards,
             "checkpoint_every": self.checkpoint_every,
             "maintain_moves": self.maintain_moves,
             "offline_algorithm": self.offline_algorithm,
@@ -303,33 +297,20 @@ def _count(
 
 
 # ----------------------------------------------------------------------
-# Library / sharded replay
+# Library replay
 # ----------------------------------------------------------------------
 def _build_stack(
-    built: BuiltInstance, policy: str, options: ReplayOptions
-) -> Tuple[Any, Optional[FailoverController], DegradeController]:
+    built: BuiltInstance, policy: str
+) -> Tuple[OnlineAssignmentManager, FailoverController, DegradeController]:
     """The served stack: manager, failover controller and degrade
-    machine configured like a service session's defaults (sharded
-    sessions have no failover controller)."""
-    from repro.scale.sharded import ShardedOnlineManager
-
-    sharded = options.path == "sharded"
-    config = OnlineConfig(
-        capacity=built.capacity,
-        join_policy=policy,
-        shards=options.shards,
-    )
-    manager = (ShardedOnlineManager if sharded else OnlineAssignmentManager)(
+    machine configured like a service session's defaults."""
+    manager = OnlineAssignmentManager(
         built.provider,
         built.servers,
-        config,
+        OnlineConfig(capacity=built.capacity, join_policy=policy),
         client_nodes=built.clients,
     )
-    controller = (
-        None
-        if sharded
-        else FailoverController(manager, readmit_moves=8, shed_policy="shed")
-    )
+    controller = FailoverController(manager, readmit_moves=8, shed_policy="shed")
     return manager, controller, DegradeController(manager, DegradePolicy())
 
 
@@ -386,13 +367,7 @@ def _replay_managed(
     policy: str,
     options: ReplayOptions,
 ) -> ReplayResult:
-    if options.path == "sharded" and trace.has_faults:
-        raise ScenarioError(
-            f"scenario {scenario.name!r} contains fault events; the "
-            f"sharded path (like sharded service sessions) supports "
-            f"join/leave/rebalance only"
-        )
-    stack = _build_stack(built, policy, options)
+    stack = _build_stack(built, policy)
     manager = stack[0]
 
     def step(chunk, counters):

@@ -29,7 +29,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.algorithms.online import OnlineConfig
 from repro.core import interaction_lower_bound
@@ -37,21 +37,16 @@ from repro.errors import (
     BadRequestError,
     InvalidParameterError,
     ReproError,
-    ResilienceError,
     SessionStateError,
     UnknownOperationError,
     UnknownSessionError,
 )
 from repro.net.latency import LatencyMatrix
 from repro.obs import fingerprint_matrix, registry
-from repro.resilience.checkpoint import encode_float, state_digest
+from repro.resilience.checkpoint import encode_float
 from repro.resilience.degrade import DegradePolicy
-from repro.resilience.events import EVENT_OPS, apply_event, check_event
-from repro.resilience.runtime import (
-    DurabilityConfig,
-    DurableRuntime,
-    _NullWal,
-)
+from repro.resilience.events import EVENT_OPS
+from repro.resilience.runtime import DurabilityConfig, DurableRuntime
 from repro.service.protocol import OPS, error_reply, ok_reply, parse_request
 from repro._version import __version__
 
@@ -114,11 +109,6 @@ class SessionConfig:
     def __post_init__(self) -> None:
         if self.nodes < 2:
             raise InvalidParameterError(f"nodes must be >= 2, got {self.nodes}")
-        if self.online.shards > 1 and self.durability.durable:
-            raise InvalidParameterError(
-                "sharded sessions (shards > 1) are volatile-only; "
-                "use durability mode 'off'"
-            )
         if self.kind not in ("meridian", "mit"):
             raise InvalidParameterError(
                 f"kind must be 'meridian' or 'mit', got {self.kind!r}"
@@ -148,7 +138,6 @@ class SessionConfig:
             ),
             "capacity": self.online.capacity,
             "join_policy": self.online.join_policy,
-            "shards": int(self.online.shards),
             "durability": self.durability.mode,
             "checkpoint_every": self.durability.checkpoint_every,
             "fsync_every": self.durability.fsync_every,
@@ -164,7 +153,7 @@ class SessionConfig:
         known = {
             "nodes", "kind", "matrix_seed", "n_servers", "placement",
             "placement_seed", "servers", "capacity", "join_policy",
-            "shards", "durability", "checkpoint_every", "fsync_every",
+            "durability", "checkpoint_every", "fsync_every",
             "max_backlog",
             "d_budget", "readmit_moves", "shed_policy",
         }
@@ -191,7 +180,6 @@ class SessionConfig:
                 online=OnlineConfig(
                     capacity=None if capacity is None else int(capacity),
                     join_policy=str(data.get("join_policy", "greedy")),
-                    shards=int(data.get("shards", 1)),
                 ),
                 durability=DurabilityConfig(
                     mode=str(data.get("durability", "off")),
@@ -262,131 +250,6 @@ class SessionInfo:
         }
 
 
-class ShardedSessionRuntime:
-    """Volatile runtime for region-sharded sessions (``shards > 1``).
-
-    Presents the slice of the :class:`~repro.resilience.runtime.
-    DurableRuntime` surface that :class:`Session` drives — ``apply``
-    with the shared event semantics of :mod:`repro.resilience.events`,
-    the degraded-mode state machine, queries, digests — over a
-    :class:`~repro.scale.sharded.ShardedOnlineManager` instead of a
-    single full-universe manager. Sharded sessions are **volatile
-    only** (enforced by :class:`SessionConfig`): there is no WAL, no
-    checkpoints, and server fault events (crash/recover/partition/heal)
-    raise :class:`~repro.errors.SessionStateError` — the sharded
-    manager does not model per-server fault state.
-
-    ``applied_seq`` counts applied events (monotone from 1), playing
-    the role the WAL sequence number plays in durable sessions.
-    """
-
-    def __init__(
-        self,
-        matrix: LatencyMatrix,
-        servers: Tuple[int, ...],
-        *,
-        online: OnlineConfig,
-        policy: "DegradePolicy",
-    ) -> None:
-        import numpy as np
-
-        from repro.resilience.degrade import DegradeController
-        from repro.scale.sharded import ShardedOnlineManager
-
-        # Universe = every node, matching the unsharded manager's
-        # default (a server node may host a client too).
-        self._manager = ShardedOnlineManager(
-            matrix,
-            servers,
-            online,
-            client_nodes=np.arange(matrix.n_nodes, dtype=np.int64),
-        )
-        self._degrade = DegradeController(self._manager, policy)
-        self._config: Dict[str, Any] = {
-            "servers": [int(s) for s in servers],
-            "capacity": online.capacity,
-            "join_policy": online.join_policy,
-            "shards": int(self._manager.n_shards),
-            "max_backlog": policy.max_backlog,
-            "d_budget": (
-                None
-                if policy.d_budget is None
-                else encode_float(policy.d_budget)
-            ),
-            "matrix_fingerprint": fingerprint_matrix(matrix),
-        }
-        self._applied_seq = 0
-        self._closed = False
-
-    # -- introspection -------------------------------------------------
-    @property
-    def manager(self) -> Any:
-        """The wrapped :class:`ShardedOnlineManager`."""
-        return self._manager
-
-    @property
-    def degrade(self) -> Any:
-        """The degraded-mode state machine."""
-        return self._degrade
-
-    @property
-    def health(self) -> str:
-        return self._degrade.state
-
-    @property
-    def n_clients(self) -> int:
-        return self._manager.n_clients
-
-    @property
-    def applied_seq(self) -> int:
-        return self._applied_seq
-
-    @property
-    def wal(self) -> _NullWal:
-        """No log exists for volatile sharded sessions (``path`` None)."""
-        return _NullWal(next_seq=self._applied_seq + 1)
-
-    def current_d(self) -> float:
-        """The current global maximum interaction path length."""
-        return self._manager.current_d()
-
-    def state_dict(self) -> Dict[str, Any]:
-        """Canonical JSON-serializable state (the digest basis)."""
-        manager = self._manager
-        return {
-            "schema": "sharded-volatile-v1",
-            "config": dict(self._config),
-            "applied_seq": self._applied_seq,
-            "manager": {
-                "assigned": [
-                    [int(node), int(manager.server_of(node))]
-                    for node in manager.clients
-                ],
-                "d": encode_float(manager.current_d()),
-            },
-            "degrade": self._degrade.to_dict(),
-        }
-
-    def digest(self) -> str:
-        """SHA-256 digest of :meth:`state_dict`."""
-        return state_digest(self.state_dict())
-
-    # -- events --------------------------------------------------------
-    def apply(self, op: str, data: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
-        """Check then apply one event (no failover controller, so
-        fault ops raise :class:`~repro.errors.SessionStateError`)."""
-        if self._closed:
-            raise ResilienceError("runtime is closed")
-        data = check_event(self._manager, None, self._degrade, op, data)
-        self._applied_seq += 1
-        return apply_event(self._manager, None, self._degrade, op, data)
-
-    # -- lifecycle -----------------------------------------------------
-    def close(self) -> None:
-        """Release the runtime (idempotent; nothing to sync)."""
-        self._closed = True
-
-
 class Session:
     """One live assignment world inside the service."""
 
@@ -395,7 +258,7 @@ class Session:
         session_id: str,
         config: SessionConfig,
         matrix: LatencyMatrix,
-        runtime: Union[DurableRuntime, ShardedSessionRuntime],
+        runtime: DurableRuntime,
     ) -> None:
         self.id = session_id
         self.config = config
@@ -625,24 +488,16 @@ class AssignmentService:
         directory = (
             self._session_dir(session_id) if config.durability.durable else None
         )
-        if config.online.shards > 1:
-            runtime: Any = ShardedSessionRuntime(
-                matrix,
-                servers,
-                online=config.online,
-                policy=config.degrade_policy(),
-            )
-        else:
-            runtime = DurableRuntime(
-                directory,
-                matrix,
-                servers,
-                online=config.online,
-                durability=config.durability,
-                readmit_moves=config.readmit_moves,
-                shed_policy=config.shed_policy,
-                policy=config.degrade_policy(),
-            )
+        runtime = DurableRuntime(
+            directory,
+            matrix,
+            servers,
+            online=config.online,
+            durability=config.durability,
+            readmit_moves=config.readmit_moves,
+            shed_policy=config.shed_policy,
+            policy=config.degrade_policy(),
+        )
         session = Session(session_id, config, matrix, runtime)
         self._sessions[session_id] = session
         self._next_session += 1

@@ -1,7 +1,7 @@
 """Small cross-cutting helpers: RNG handling, validation, timing.
 
-``Stopwatch`` now lives in :mod:`repro.obs.timing`; the re-export here
-(and the :mod:`repro.utils.timing` shim) keep old imports working.
+``Stopwatch`` lives in :mod:`repro.obs.timing`; the re-export here keeps
+``from repro.utils import Stopwatch`` working.
 """
 
 from repro.obs.timing import Stopwatch

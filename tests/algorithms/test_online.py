@@ -236,7 +236,7 @@ class TestChurnEdgeCases:
 
 
 class TestRestrictedClientUniverse:
-    """client_nodes= restricts the joinable universe (the sharding hook)."""
+    """client_nodes= restricts the joinable universe."""
 
     @pytest.fixture
     def universe(self, matrix):

@@ -3,9 +3,8 @@
 ``tests/data/online_decision_traces.json`` holds decision streams of
 ``OnlineAssignmentManager`` captured *before* the policy seam existed
 (PR 10), as ``(op, ...)`` tuples with D values in float hex. Replaying
-the same deterministic trajectory through today's managers must
-reproduce those streams byte for byte — for the plain manager and the
-region-sharded one, with and without capacities.
+the same deterministic trajectory through today's manager must
+reproduce those streams byte for byte, with and without capacities.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ import pytest
 from repro.algorithms.online import OnlineAssignmentManager, OnlineConfig
 from repro.algorithms.policies import (
     CapacityError as PolicyCapacityError,
+    ThresholdPolicy,
     best_finite,
     policy_names,
     resolve_policy,
@@ -26,7 +26,6 @@ from repro.algorithms.policies import (
 )
 from repro.datasets import planet_instance
 from repro.errors import CapacityError, InvalidParameterError
-from repro.scale import ShardedOnlineManager
 
 TRACES_PATH = Path(__file__).parent.parent / "data" / "online_decision_traces.json"
 
@@ -108,28 +107,6 @@ def test_manager_matches_pre_seam_traces(golden, instance, policy, capacity):
     assert log == golden["traces"][key]
 
 
-@pytest.mark.parametrize("policy", ["greedy", "nearest"])
-@pytest.mark.parametrize("capacity", [None, 30])
-def test_sharded_manager_matches_pre_seam_traces(
-    golden, instance, policy, capacity
-):
-    manager = ShardedOnlineManager(
-        instance.provider,
-        instance.servers,
-        OnlineConfig(capacity=capacity, join_policy=policy, shards=4),
-        client_nodes=instance.clients,
-    )
-    key = f"{policy}/{'none' if capacity is None else capacity}"
-    rng_seed, n_events = _params(golden)
-    log = _drive(
-        manager,
-        [int(n) for n in instance.clients],
-        rng_seed=rng_seed,
-        n_events=n_events,
-    )
-    assert log == golden["traces"][key]
-
-
 class TestRegistry:
     def test_all_policies_registered(self):
         names = policy_names()
@@ -158,6 +135,34 @@ class TestBestFinite:
     def test_all_infinite_raises(self):
         with pytest.raises(PolicyCapacityError):
             best_finite(np.array([np.inf, np.inf]))
+
+
+class _FixedView:
+    """A placement view with fixed cost vectors."""
+
+    def __init__(self, nearest, paths):
+        self._nearest = np.array(nearest)
+        self._paths = np.array(paths)
+
+    def nearest_costs(self):
+        return self._nearest
+
+    def path_costs(self):
+        return self._paths
+
+
+class TestThresholdFallback:
+    """Server 0 is nearest; server 1 has the best path, 6. With
+    ``tau = 1.5`` the fallback fires only when the nearest server's
+    path exceeds 9 strictly."""
+
+    @pytest.mark.parametrize(
+        "near_path, expected",
+        [(10.0, 1), (9.0, 0), (8.95, 0)],
+    )
+    def test_falls_back_only_past_tau(self, near_path, expected):
+        view = _FixedView([1.0, 2.0, 3.0], [near_path, 6.0, 7.0])
+        assert ThresholdPolicy(tau=1.5).choose_server(view) == expected
 
 
 class TestRemediationPolicies:

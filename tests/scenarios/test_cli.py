@@ -69,15 +69,6 @@ class TestRun:
         assert code == 0
         assert "capacity-crunch" in capsys.readouterr().out
 
-    def test_sharded_path(self, capsys):
-        code = main(
-            ["scenarios", "run", "--scenario", "diurnal",
-             "--policy", "nearest", "--path", "sharded", "--shards", "3"]
-            + FAST
-        )
-        assert code == 0
-        assert "sharded path" in capsys.readouterr().out
-
     def test_unknown_scenario_is_cli_error(self, capsys):
         code = main(["scenarios", "run", "--scenario", "nope"] + FAST)
         assert code == 1
@@ -91,13 +82,11 @@ class TestRun:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
-    def test_sharded_fault_scenario_is_cli_error(self, capsys):
-        code = main(
-            ["scenarios", "run", "--scenario", "regional-outage",
-             "--path", "sharded"] + FAST
-        )
-        assert code == 1
-        assert "scenario-error" in capsys.readouterr().err
+    def test_sharded_path_is_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scenarios", "run", "--path", "sharded"] + FAST)
+        assert exc.value.code == 2
+        assert "invalid choice: 'sharded'" in capsys.readouterr().err
 
 
 class TestCompare:

@@ -38,14 +38,14 @@ def _fresh_lb_cache():
 
 class TestReplayOptions:
     def test_round_trip(self):
-        options = ReplayOptions(path="sharded", shards=2, checkpoint_every=8)
+        options = ReplayOptions(path="wire", checkpoint_every=8)
         assert ReplayOptions.from_dict(options.to_dict()) == options
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"path": "carrier-pigeon"},
-            {"shards": 0},
+            {"path": "sharded"},
             {"checkpoint_every": 0},
             {"maintain_moves": -1},
             {"block_size": 0},
@@ -136,34 +136,6 @@ class TestReplay:
         assert counters["scenarios.events"] > 0
         assert counters["scenarios.replay.spread.checkpoints"] >= 1
         assert counters["scenarios.replay.spread.ratio_sum"] >= 1.0
-
-
-class TestShardedPath:
-    def test_matches_library_checkpoints(self):
-        scenario = bundled_scenario("capacity-crunch")
-        library = replay_scenario(scenario, "greedy", options=FAST)
-        sharded = replay_scenario(
-            scenario,
-            "greedy",
-            options=ReplayOptions(
-                path="sharded",
-                shards=3,
-                checkpoint_every=64,
-                offline_algorithm=None,
-            ),
-        )
-        assert [c.to_dict() for c in sharded.checkpoints] == [
-            c.to_dict() for c in library.checkpoints
-        ]
-        assert sharded.counters == library.counters
-
-    def test_rejects_fault_scenarios(self):
-        with pytest.raises(ScenarioError):
-            replay_scenario(
-                bundled_scenario("regional-outage"),
-                "greedy",
-                options=ReplayOptions(path="sharded", offline_algorithm=None),
-            )
 
 
 class TestWirePath:

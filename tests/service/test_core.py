@@ -134,6 +134,13 @@ class TestErrorReplies:
         assert reply["error"]["code"] == "bad-request"
         assert "bogus_knob" in reply["error"]["message"]
 
+    def test_shards_parameter_rejected(self, service):
+        # Sessions run one manager; ``shards`` is not a session parameter.
+        reply = service.handle({"op": "open_session", "nodes": 40, "shards": 2})
+        assert reply["ok"] is False
+        assert reply["error"]["code"] == "bad-request"
+        assert "shards" in reply["error"]["message"]
+
     def test_handle_never_raises(self, service):
         # Every reply is an envelope, even for garbage.
         for request in (None, 42, {"op": None}, {"op": []}, {}):

@@ -7,12 +7,9 @@ output one execution path produced for it:
   :meth:`ReplayResult.to_dict` (minus ``elapsed_seconds``) for each
   bundled scenario and each of the four online policies, at
   ``checkpoint_every=16`` and default maintenance;
-- ``scenario/<name>/<policy>/sharded`` — the same on the sharded path
-  (``shards=3``) for the scenarios without fault events;
 - ``service/<mode>`` — :func:`trajectory_digest` of the ``batch``
   replies and the final state digest for a 2000-event
-  :func:`generate_events` stream on volatile, WAL-backed and sharded
-  (``shards=4``, fault events off) sessions;
+  :func:`generate_events` stream on volatile and WAL-backed sessions;
 - ``chaos/<seed>`` — the final digest of a :func:`run_chaos` baseline
   and the SHA-256 of its WAL file's bytes, so a change to the WAL
   record shapes (which existing directories must still recover from)
@@ -63,10 +60,9 @@ GOLDEN_PATH = (
 )
 
 POLICIES = ("greedy", "nearest", "threshold", "spread")
-FAULT_SCENARIOS = ("regional-outage",)
 CHAOS_SEEDS = (3, 8)
 
-#: Session shape shared by the three service cases.
+#: Session shape shared by the service cases.
 SESSION_FIELDS = {"nodes": 100, "n_servers": 8, "max_backlog": 48}
 
 
@@ -75,9 +71,7 @@ def cases() -> List[str]:
     for name in scenario_names():
         for policy in POLICIES:
             out.append(f"scenario/{name}/{policy}/library")
-            if name not in FAULT_SCENARIOS:
-                out.append(f"scenario/{name}/{policy}/sharded")
-    out.extend(f"service/{mode}" for mode in ("volatile", "wal", "sharded"))
+    out.extend(f"service/{mode}" for mode in ("volatile", "wal"))
     out.extend(f"chaos/{seed}" for seed in CHAOS_SEEDS)
     return out
 
@@ -86,7 +80,7 @@ CASES = cases()
 
 
 def _scenario(name: str, policy: str, path: str) -> Dict[str, Any]:
-    options = ReplayOptions(path=path, shards=3, checkpoint_every=16)
+    options = ReplayOptions(path=path, checkpoint_every=16)
     doc = replay_scenario(
         bundled_scenario(name), policy, options=options
     ).to_dict()
@@ -95,11 +89,10 @@ def _scenario(name: str, policy: str, path: str) -> Dict[str, Any]:
 
 
 def _service(mode: str, base_dir: str) -> Dict[str, Any]:
-    sharded = mode == "sharded"
     config = SessionConfig(
         **{
             **SESSION_FIELDS,
-            "online": OnlineConfig(capacity=16, shards=4 if sharded else 1),
+            "online": OnlineConfig(capacity=16),
             "durability": DurabilityConfig(
                 mode="wal" if mode == "wal" else "off", checkpoint_every=100
             ),
@@ -113,8 +106,8 @@ def _service(mode: str, base_dir: str) -> Dict[str, Any]:
             config.resolve_servers(matrix),
             n_events=2000,
             seed=42,
-            fault_every=0 if sharded else 211,
-            partition_every=0 if sharded else 307,
+            fault_every=211,
+            partition_every=307,
             rebalance_every=401,
         )
         reply = svc.handle(

@@ -8,10 +8,10 @@ what :meth:`AssignmentService.handle` produced for one seeded
 - the final state digest;
 - the values of the deterministic counters the stream moved:
   ``service.events.*``, ``online.*``, ``engine.*``, ``dga.*``,
-  ``failover.*``, ``resilience.*``, ``scale.sharded.*`` and every
-  kernel's call count (``kernel.<name>.calls``, the backend segment
-  dropped so the numpy and numba backends share one fixture). Seconds
-  and zero counts are not pinned.
+  ``failover.*``, ``resilience.*`` and every kernel's call count
+  (``kernel.<name>.calls``, the backend segment dropped so the numpy
+  and numba backends share one fixture). Seconds and zero counts are
+  not pinned.
 
 Cases:
 
@@ -23,10 +23,7 @@ Cases:
 - ``perfbench-pass/greedy/seed1`` — one full 20 000-event perfbench
   pass;
 - ``capacity16/<policy>/seed1`` — the same traffic with a per-server
-  capacity of 16, so joins queue, are rejected and drain;
-- ``sharded/<policy>/seed1`` — a ``shards=2`` session (no fault
-  events; sharded sessions refuse them), uncapacitated for greedy and
-  with capacity 16 for spread.
+  capacity of 16, so joins queue, are rejected and drain.
 
 With the service's fixed ``tau = 1.5`` the threshold policy never
 falls back to the greedy choice on this traffic, so its cases pin
@@ -78,7 +75,6 @@ PINNED_PREFIXES = (
     "dga.",
     "failover.",
     "resilience.",
-    "scale.sharded.",
 )
 
 
@@ -88,7 +84,6 @@ def cases() -> List[str]:
     ]
     out.append("perfbench-pass/greedy/seed1")
     out.extend(f"capacity16/{policy}/seed1" for policy in POLICIES)
-    out.extend(f"sharded/{policy}/seed1" for policy in ("greedy", "spread"))
     return out
 
 
@@ -99,7 +94,6 @@ def case_setup(case_id: str):
     """``(SessionConfig, n_events, traffic, seed)`` of a case id."""
     kind, policy, seed_name = case_id.split("/")
     seed = int(seed_name[len("seed") :])
-    capacitated = kind == "capacity16" or (kind == "sharded" and policy == "spread")
     config = SessionConfig(
         nodes=120,
         kind="meridian",
@@ -107,16 +101,12 @@ def case_setup(case_id: str):
         matrix_seed=seed,
         placement_seed=seed,
         online=OnlineConfig(
-            capacity=16 if capacitated else None,
+            capacity=16 if kind == "capacity16" else None,
             join_policy=policy,
-            shards=2 if kind == "sharded" else 1,
         ),
     )
-    traffic = dict(TRAFFIC)
-    if kind == "sharded":
-        traffic.update(fault_every=0, partition_every=0)
     n_events = 20000 if kind == "perfbench-pass" else 5000
-    return config, n_events, traffic, seed
+    return config, n_events, dict(TRAFFIC), seed
 
 
 def pinned_counters(metrics: MetricsRegistry) -> Dict[str, int]:

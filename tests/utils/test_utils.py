@@ -1,7 +1,6 @@
 """Tests for repro.utils (rng, timing shim, validation)."""
 
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -86,68 +85,12 @@ class TestStopwatch:
 
 
 class TestTimingShim:
-    """repro.utils.timing stays importable but warns and forwards."""
-
-    def test_old_import_warns_and_returns_same_class(self):
-        from repro.utils import timing as legacy
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy_stopwatch = legacy.Stopwatch
-        assert legacy_stopwatch is Stopwatch
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-
-    def test_unknown_attribute_raises(self):
-        from repro.utils import timing as legacy
-
-        with pytest.raises(AttributeError):
-            legacy.no_such_thing
+    """``repro.utils`` still re-exports the moved :class:`Stopwatch`."""
 
     def test_package_reexport_still_works(self):
         from repro.utils import Stopwatch as reexported
 
         assert reexported is Stopwatch
-
-    def test_timed_forwards_and_warns(self):
-        from repro.obs.timing import timed
-        from repro.utils import timing as legacy
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy_timed = legacy.timed
-        assert legacy_timed is timed
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-
-    def test_no_internal_callers_of_the_shim(self):
-        """The PR 5 migration is complete: no repro module imports the
-        deprecated ``repro.utils.timing`` — only the shim file itself
-        mentions it."""
-        import pathlib
-        import re
-
-        import repro
-
-        shim_import = re.compile(
-            r"^\s*(from\s+repro\.utils\.timing\s+import"
-            r"|from\s+repro\.utils\s+import\s+timing"
-            r"|import\s+repro\.utils\.timing)",
-            re.MULTILINE,
-        )
-        package_root = pathlib.Path(repro.__file__).parent
-        offenders = []
-        for path in sorted(package_root.rglob("*.py")):
-            if path.name == "timing.py" and path.parent.name == "utils":
-                continue
-            if shim_import.search(path.read_text(encoding="utf-8")):
-                offenders.append(str(path.relative_to(package_root)))
-        assert not offenders, (
-            f"modules still referencing the deprecated repro.utils.timing "
-            f"shim: {offenders}"
-        )
 
 
 class TestValidation:
