@@ -1,23 +1,29 @@
 """Durability benchmarks: WAL/checkpoint overhead and recovery time.
 
 Drives the same 10k-event churn-under-faults stream (the chaos
-workload) through two configurations of the durable runtime stack:
+workload) through the durable runtime stack. A WAL runtime is durable
+at :meth:`~repro.resilience.runtime.DurableRuntime.commit` — one WAL
+fsync, plus a checkpoint once ``checkpoint_every`` events have passed —
+so each configuration is a commit interval:
 
-- **no-WAL baseline** — the full ``DurableRuntime`` event path with the
-  log swapped for an in-memory null appender and checkpoints disabled,
-  so the measured delta is exactly the durability cost (encode + CRC +
-  write + fsync + snapshot), not wrapper bookkeeping;
-- **group-commit WAL** — the amortized configuration
-  (``fsync_every=1024``, ``checkpoint_every=2500``), asserted to stay
-  within ``OVERHEAD_BUDGET`` of the baseline. The runtime's default
-  group of 8 and strict per-record fsync are measured and reported as
-  extra rows, not asserted: their cost is one ``fsync(2)`` per 8 (resp.
-  1) events, which is a property of the disk, not of the append path.
+- **no-WAL baseline** — the full ``DurableRuntime`` event path in
+  volatile mode (in-memory sequence counter, no checkpoints), committing
+  every 1024 events, so the measured delta is exactly the durability
+  cost (record encode + CRC + write + fsync + snapshot), not wrapper
+  bookkeeping;
+- **WAL, commit every 1024** (``checkpoint_every=2500``) — the
+  amortized configuration, asserted to stay within ``OVERHEAD_BUDGET``
+  of the baseline;
+- **WAL, commit every 250** (one served ``batch``) and **every 1**
+  (single-event requests) — reported, not asserted: their cost is one
+  ``fsync(2)`` per 250 (resp. 1) events, a property of the disk, not
+  of the append path.
 
 A second test measures ``DurableRuntime.recover`` wall time against
-WAL tail length (no checkpoints, so recovery replays the whole log)
-and checks every recovery is byte-identical to the live runtime it
-replaces.
+WAL tail length (no checkpoints, so recovery replays the whole log;
+the tail lengths include 25 and 250, the default ``checkpoint_every``
+and one served batch) and checks every recovery is byte-identical to
+the live runtime it replaces.
 
 Scale knobs (smoke runs shrink them; see the ``bench-smoke`` CI job):
 ``REPRO_BENCH_RESILIENCE_EVENTS`` (default 10000),
@@ -40,8 +46,7 @@ from repro.datasets import synthesize_meridian_like
 from repro.experiments.persistence import BenchTable, load_result, save_result
 from repro.experiments.reporting import format_table
 from repro.placement import kcenter_b
-from repro.resilience import DurableRuntime, chaos_workload
-from repro.resilience.wal import WalRecord
+from repro.resilience import DurabilityConfig, DurableRuntime, chaos_workload
 
 OVERHEAD_BUDGET = 1.10
 #: Below this node count the workload's per-event cost is too small for
@@ -59,36 +64,6 @@ N_NODES = _env_int("REPRO_BENCH_RESILIENCE_NODES", 2_000)
 N_SERVERS = _env_int("REPRO_BENCH_RESILIENCE_SERVERS", 48)
 
 
-class _NullWal:
-    """In-memory stand-in for the write-ahead log (no-WAL baseline).
-
-    Stamps records exactly like the real appender so the runtime's
-    event path is unchanged; nothing touches disk.
-    """
-
-    def __init__(self, next_seq: int = 1) -> None:
-        self._next_seq = next_seq
-        self.closed = False
-
-    @property
-    def next_seq(self) -> int:
-        return self._next_seq
-
-    def append(self, kind, data=None) -> WalRecord:
-        record = WalRecord(seq=self._next_seq, kind=kind, data=dict(data or {}))
-        self._next_seq += 1
-        return record
-
-    def sync(self) -> None:
-        pass
-
-    def close(self) -> None:
-        self.closed = True
-
-    def abandon(self) -> None:
-        self.closed = True
-
-
 @pytest.fixture(scope="module")
 def setup():
     matrix = synthesize_meridian_like(N_NODES, seed=0)
@@ -97,24 +72,19 @@ def setup():
     return matrix, servers, events
 
 
-def _drive(directory, matrix, servers, events, *, fsync_every, checkpoint_every):
-    """Apply the event stream; returns (seconds, final D)."""
-    runtime = DurableRuntime(
-        directory,
-        matrix,
-        servers,
-        checkpoint_every=checkpoint_every,
-        fsync_every=fsync_every if fsync_every is not None else 0,
-    )
-    if fsync_every is None:  # no-WAL baseline: swap in the null appender
-        runtime._wal.abandon()
-        runtime._wal = _NullWal(runtime.applied_seq + 1)
+def _drive(directory, matrix, servers, events, *, durability, commit_every):
+    """Apply the event stream, committing every ``commit_every`` events;
+    returns (seconds, final D)."""
+    runtime = DurableRuntime(directory, matrix, servers, durability=durability)
     start = time.perf_counter()
-    for event in events:
+    for i, event in enumerate(events, 1):
         runtime.apply(event["op"], event)
+        if i % commit_every == 0:
+            runtime.commit()
+    runtime.commit()
     elapsed = time.perf_counter() - start
     final_d = runtime.current_d()
-    runtime.abandon()
+    runtime.close()
     shutil.rmtree(directory, ignore_errors=True)
     return elapsed, final_d
 
@@ -127,25 +97,26 @@ def _out_path(tmp_path, filename: str) -> str:
 def test_wal_overhead(benchmark, setup, tmp_path):
     matrix, servers, events = setup
     checkpoint_every = max(1, N_EVENTS // 4)
+    wal = DurabilityConfig(checkpoint_every=checkpoint_every)
     configs = (
-        # (label, fsync_every, checkpoint_every, repeats)
-        ("no-wal", None, 0, 2),
-        ("wal group-1024", 1024, checkpoint_every, 2),
-        ("wal group-8 (default)", 8, checkpoint_every, 1),
-        ("wal strict fsync", 1, checkpoint_every, 1),
+        # (label, durability, commit_every, repeats)
+        ("no-wal", DurabilityConfig(mode="off"), 1024, 2),
+        ("wal commit-1024", wal, 1024, 2),
+        ("wal commit-250 (served batch)", wal, 250, 1),
+        ("wal commit-1 (single events)", wal, 1, 1),
     )
 
     def run():
         measured = []
-        for label, fsync_every, cpe, repeats in configs:
+        for label, durability, commit_every, repeats in configs:
             best, final_d = min(
                 _drive(
-                    tmp_path / f"{label.split()[0]}-{fsync_every}-{rep}",
+                    tmp_path / f"{label.split()[0]}-{commit_every}-{rep}",
                     matrix,
                     servers,
                     events,
-                    fsync_every=fsync_every,
-                    checkpoint_every=cpe,
+                    durability=durability,
+                    commit_every=commit_every,
                 )
                 for rep in range(repeats)
             )
@@ -190,10 +161,10 @@ def test_wal_overhead(benchmark, setup, tmp_path):
     for label, _, final_d in measured[1:]:
         assert final_d == baseline_d, f"{label}: final D diverged from baseline"
     if N_NODES >= ASSERT_NODE_FLOOR:
-        group = dict((label, s) for label, s, _ in measured)["wal group-1024"]
-        slowdown = group / baseline_seconds
+        amortized = dict((label, s) for label, s, _ in measured)["wal commit-1024"]
+        slowdown = amortized / baseline_seconds
         assert slowdown < OVERHEAD_BUDGET, (
-            f"group-commit WAL slowdown {slowdown:.3f}x exceeds the "
+            f"commit-every-1024 WAL slowdown {slowdown:.3f}x exceeds the "
             f"{OVERHEAD_BUDGET}x budget"
         )
 
@@ -203,6 +174,8 @@ def test_recovery_time_vs_tail_length(benchmark, setup, tmp_path):
     matrix, servers, events = setup
     tails = sorted(
         {
+            min(25, N_EVENTS),
+            min(250, N_EVENTS),
             max(1, N_EVENTS // 8),
             max(1, N_EVENTS // 4),
             max(1, N_EVENTS // 2),
@@ -215,10 +188,14 @@ def test_recovery_time_vs_tail_length(benchmark, setup, tmp_path):
         for tail in tails:
             directory = tmp_path / f"recover-{tail}"
             runtime = DurableRuntime(
-                directory, matrix, servers, checkpoint_every=0, fsync_every=1024
+                directory,
+                matrix,
+                servers,
+                durability=DurabilityConfig(checkpoint_every=0),
             )
             for event in events[:tail]:
                 runtime.apply(event["op"], event)
+            runtime.commit()
             expected = runtime.digest()
             runtime.abandon()
             start = time.perf_counter()

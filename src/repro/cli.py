@@ -231,10 +231,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-backlog", type=int, default=32,
         help="degraded-mode join backlog before rejection",
     )
-    p_chaos.add_argument("--checkpoint-every", type=int, default=20)
     p_chaos.add_argument(
-        "--fsync-every", type=int, default=8,
-        help="WAL group-commit size (1 = fsync every record)",
+        "--checkpoint-every", type=int, default=20,
+        help=(
+            "checkpoint at the first commit this many events after the "
+            "last (each event is committed, so one WAL fsync per event)"
+        ),
     )
     p_chaos.add_argument(
         "--no-torn-tail", action="store_true",
@@ -796,7 +798,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             capacity=args.capacity,
             policy=DegradePolicy(max_backlog=args.max_backlog),
             checkpoint_every=args.checkpoint_every,
-            fsync_every=args.fsync_every,
             tear_tail=not args.no_torn_tail,
         )
     finally:

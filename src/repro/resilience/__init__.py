@@ -7,8 +7,8 @@ state durable and the runtime survivable:
 
 - :mod:`repro.resilience.wal` — a write-ahead event log: every
   join/leave/crash/recover/partition/rebalance is recorded as a
-  checksummed JSONL record *before* it is applied, with group-commit
-  fsync. A torn or corrupt tail (crash mid-write) is detected by
+  checksummed JSONL record *before* it is applied, and fsynced once per
+  acknowledged request (``DurableRuntime.commit``). A torn or corrupt tail (crash mid-write) is detected by
   checksum and truncated, never fatal.
 - :mod:`repro.resilience.checkpoint` — periodic atomic snapshots of
   manager + failover + degrade state, so recovery replays a bounded WAL

@@ -222,13 +222,14 @@ def run_chaos(
     capacity: Optional[int] = None,
     policy: Optional[DegradePolicy] = None,
     checkpoint_every: int = 20,
-    fsync_every: int = 8,
     tear_tail: bool = True,
 ) -> ChaosReport:
     """Run the kill/recover/diff property over a workload.
 
-    For each kill point ``k``: replay events ``[0, k)`` into a fresh
-    runtime under ``base_dir/kill-k``, abandon it without a final sync,
+    Every event is applied and committed as its own acknowledged
+    request. For each kill point ``k``: replay events ``[0, k)`` into a
+    fresh runtime under ``base_dir/kill-k``, abandon it (nothing is
+    pending, so no acknowledged event is lost),
     optionally append a torn tail to its WAL, recover from disk,
     compare digests against the baseline at ``k``, then replay the
     remaining events and compare the D trajectory (exact float
@@ -257,7 +258,6 @@ def run_chaos(
         capacity=capacity,
         policy=policy,
         checkpoint_every=checkpoint_every,
-        fsync_every=fsync_every,
     )
 
     # ------------------------------------------------------------- baseline
@@ -270,6 +270,7 @@ def run_chaos(
         trajectory: List[float] = []
         for i, event in enumerate(events):
             baseline.apply(event["op"], event)
+            baseline.commit()
             trajectory.append(baseline.current_d())
             if i + 1 in kill_set:
                 digest_at[i + 1] = baseline.digest()
@@ -286,6 +287,7 @@ def run_chaos(
             victim = DurableRuntime(directory, matrix, servers, **common)
             for event in events[:k]:
                 victim.apply(event["op"], event)
+                victim.commit()
             checkpoint_seq = victim._last_checkpoint_seq
             victim.abandon()
             torn = False
@@ -295,10 +297,7 @@ def run_chaos(
                 torn = True
             start = time.perf_counter()
             recovered = DurableRuntime.recover(
-                directory,
-                matrix,
-                checkpoint_every=checkpoint_every,
-                fsync_every=fsync_every,
+                directory, matrix, checkpoint_every=checkpoint_every
             )
             recovery_seconds = time.perf_counter() - start
             replayed = recovered.applied_seq - checkpoint_seq
@@ -306,6 +305,7 @@ def run_chaos(
             trajectory_match = True
             for i in range(k, n_total):
                 recovered.apply(events[i]["op"], events[i])
+                recovered.commit()
                 if recovered.current_d() != trajectory[i]:
                     trajectory_match = False
             final_match = recovered.digest() == baseline_final_digest

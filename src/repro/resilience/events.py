@@ -34,7 +34,6 @@ EVENT_OPS = frozenset(
 
 def check_event(
     manager: Any,
-    controller: FailoverController,
     degrade: DegradeController,
     op: str,
     data: Dict[str, Any],

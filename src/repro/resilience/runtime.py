@@ -8,9 +8,12 @@ API, :meth:`DurableRuntime.apply` (with typed join / leave / crash /
 recover_server / partition / heal / rebalance wrappers), whose
 semantics live in :mod:`repro.resilience.events`. Every operation is
 appended to the write-ahead log
-(:mod:`repro.resilience.wal`) *before* it is applied, and a checkpoint
-(:mod:`repro.resilience.checkpoint`) is written every
-``checkpoint_every`` events, so
+(:mod:`repro.resilience.wal`) *before* it is applied.
+:meth:`DurableRuntime.commit` is the durability point: one WAL fsync
+for everything applied since the last commit, then a checkpoint
+(:mod:`repro.resilience.checkpoint`) once ``checkpoint_every`` events
+have passed since the previous one. A service commits once per reply,
+and the typed wrappers commit per event, so
 
     ``DurableRuntime.recover(directory, matrix)``
 
@@ -93,21 +96,16 @@ class DurabilityConfig:
         layer uses this for ``durability=off`` sessions so both modes
         share one runtime implementation.
     checkpoint_every:
-        Events between snapshot checkpoints (``None``/``0`` disables;
-        recovery then replays the whole WAL). Ignored in ``"off"``
-        mode.
-    fsync_every:
-        WAL group-commit interval (see
-        :class:`~repro.resilience.wal.WriteAheadLog`); the default of 8
-        keeps append overhead low while bounding crash loss to 7
-        acknowledged events.
+        A snapshot checkpoint is taken at the first
+        :meth:`DurableRuntime.commit` at least this many events after
+        the previous one (``None``/``0`` disables; recovery then
+        replays the whole WAL). Ignored in ``"off"`` mode.
     keep_checkpoints:
         Checkpoints retained on disk (older pruned after each write).
     """
 
     mode: str = "wal"
     checkpoint_every: Optional[int] = 25
-    fsync_every: int = 8
     keep_checkpoints: int = 2
 
     def __post_init__(self) -> None:
@@ -118,10 +116,6 @@ class DurabilityConfig:
         if self.checkpoint_every is not None and self.checkpoint_every < 0:
             raise InvalidParameterError(
                 f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
-            )
-        if self.fsync_every < 0:
-            raise InvalidParameterError(
-                f"fsync_every must be >= 0, got {self.fsync_every}"
             )
         if self.keep_checkpoints < 1:
             raise InvalidParameterError(
@@ -142,7 +136,6 @@ class DurabilityConfig:
                 if self.checkpoint_every is None
                 else int(self.checkpoint_every)
             ),
-            "fsync_every": int(self.fsync_every),
             "keep_checkpoints": int(self.keep_checkpoints),
         }
 
@@ -155,7 +148,6 @@ class DurabilityConfig:
             checkpoint_every=(
                 None if checkpoint_every is None else int(checkpoint_every)
             ),
-            fsync_every=int(data.get("fsync_every", 8)),
             keep_checkpoints=int(data.get("keep_checkpoints", 2)),
         )
 
@@ -164,7 +156,6 @@ class DurabilityConfig:
         where: str,
         *,
         checkpoint_every: Any = _UNSET,
-        fsync_every: Any = _UNSET,
         keep_checkpoints: Any = _UNSET,
     ) -> "DurabilityConfig":
         """Fold deprecated constructor keywords into a config.
@@ -175,8 +166,6 @@ class DurabilityConfig:
         updates: Dict[str, Any] = {}
         if checkpoint_every is not _UNSET:
             updates["checkpoint_every"] = checkpoint_every
-        if fsync_every is not _UNSET:
-            updates["fsync_every"] = fsync_every
         if keep_checkpoints is not _UNSET:
             updates["keep_checkpoints"] = keep_checkpoints
         if not updates:
@@ -250,10 +239,9 @@ class DurableRuntime:
         join policy); the legacy ``capacity=`` / ``join_policy=``
         keywords remain accepted but deprecated.
     durability:
-        A :class:`DurabilityConfig` (mode, checkpoint cadence, fsync
-        interval, retention); the legacy ``checkpoint_every=`` /
-        ``fsync_every=`` / ``keep_checkpoints=`` keywords remain
-        accepted but deprecated.
+        A :class:`DurabilityConfig` (mode, checkpoint cadence,
+        retention); the legacy ``checkpoint_every=`` /
+        ``keep_checkpoints=`` keywords remain accepted but deprecated.
     readmit_moves, shed_policy:
         Forwarded to :class:`~repro.faults.failover.FailoverController`
         (default ``"shed"``: a crash degrades rather than raises).
@@ -275,7 +263,6 @@ class DurableRuntime:
         capacity: Any = _UNSET,
         join_policy: Any = _UNSET,
         checkpoint_every: Any = _UNSET,
-        fsync_every: Any = _UNSET,
         keep_checkpoints: Any = _UNSET,
     ) -> None:
         online = (online or OnlineConfig()).merge_legacy_kwargs(
@@ -284,7 +271,6 @@ class DurableRuntime:
         durability = (durability or DurabilityConfig()).merge_legacy_kwargs(
             "DurableRuntime",
             checkpoint_every=checkpoint_every,
-            fsync_every=fsync_every,
             keep_checkpoints=keep_checkpoints,
         )
         if durability.durable:
@@ -328,16 +314,14 @@ class DurableRuntime:
         }
         self._init_core(directory, matrix, config, durability=durability)
         if durability.durable:
-            self._wal = WriteAheadLog(
-                os.path.join(directory, WAL_NAME),
-                fsync_every=durability.fsync_every,
-            )
+            self._wal = WriteAheadLog(os.path.join(directory, WAL_NAME))
         else:
             self._wal = _NullWal()
         # Genesis record: recovery can rebuild from a bare WAL (no
         # checkpoint yet) knowing nothing but the directory + matrix.
         self._applied_seq = self._wal.next_seq
         self._wal.append("open", config)
+        self.commit()
 
     # ------------------------------------------------------------------
     def _init_core(
@@ -403,7 +387,6 @@ class DurableRuntime:
         *,
         durability: Optional[DurabilityConfig] = None,
         checkpoint_every: Any = _UNSET,
-        fsync_every: Any = _UNSET,
         keep_checkpoints: Any = _UNSET,
     ) -> "DurableRuntime":
         """Rebuild a runtime from its directory.
@@ -420,7 +403,6 @@ class DurableRuntime:
         durability = (durability or DurabilityConfig()).merge_legacy_kwargs(
             "DurableRuntime.recover",
             checkpoint_every=checkpoint_every,
-            fsync_every=fsync_every,
             keep_checkpoints=keep_checkpoints,
         )
         if not durability.durable:
@@ -463,11 +445,7 @@ class DurableRuntime:
                 runtime._applied_seq,
                 records[-1].seq if records else 0,
             )
-            runtime._wal = WriteAheadLog(
-                wal_path,
-                fsync_every=durability.fsync_every,
-                next_seq=last_seq + 1,
-            )
+            runtime._wal = WriteAheadLog(wal_path, next_seq=last_seq + 1)
         metrics = registry()
         metrics.counter("resilience.recoveries").inc()
         metrics.counter("resilience.replayed_records").inc(len(tail))
@@ -607,7 +585,8 @@ class DurableRuntime:
         """Force a snapshot checkpoint now; returns the path written.
 
         The WAL is synced first so a checkpoint never describes state
-        more durable than the log that produced it.
+        more durable than the log that produced it (free right after
+        :meth:`commit`, which has just synced it).
         """
         if self._closed or self._wal.closed:
             raise ResilienceError("runtime is closed")
@@ -629,30 +608,48 @@ class DurableRuntime:
 
         Returns ``(outcome, extras)`` as
         :func:`~repro.resilience.events.apply_event` does; an event the
-        current state refuses raises before anything is logged. A
-        checkpoint is written once ``checkpoint_every`` events have
-        been applied since the last one.
+        current state refuses raises before anything is logged. The
+        event is not durable until the next :meth:`commit`.
         """
         wal = self._wal
         if self._closed or wal.closed:
             raise ResilienceError("runtime is closed")
-        data = check_event(self._manager, self._controller, self._degrade, op, data)
+        data = check_event(self._manager, self._degrade, op, data)
         seq = wal.next_seq
         wal.append(op, data)
         result = apply_event(
             self._manager, self._controller, self._degrade, op, data, time=float(seq)
         )
         self._applied_seq = seq
+        return result
+
+    def commit(self) -> None:
+        """Make every event applied so far durable.
+
+        One WAL write and fsync (none when nothing was applied since
+        the last commit), then a checkpoint once ``checkpoint_every``
+        events have passed since the previous one. Call it before
+        acknowledging: an event is acknowledged only after its commit.
+        """
+        self._wal.sync()
         if (
             self._checkpoint_every
-            and seq - self._last_checkpoint_seq >= self._checkpoint_every
+            and self._applied_seq - self._last_checkpoint_seq
+            >= self._checkpoint_every
         ):
             self.checkpoint()
+
+    def _apply_committed(
+        self, op: str, data: Dict[str, Any]
+    ) -> Tuple[str, Dict[str, Any]]:
+        """:meth:`apply` one event as its own acknowledged request."""
+        result = self.apply(op, data)
+        self.commit()
         return result
 
     def join(self, node: int) -> str:
         """Admit a client; returns ``"assigned"``/``"queued"``/``"rejected"``."""
-        return self.apply("join", {"node": node})[0]
+        return self._apply_committed("join", {"node": node})[0]
 
     def leave(self, node: int) -> str:
         """Remove a client; returns ``"left"``/``"dequeued"``/``"absent"``.
@@ -662,29 +659,29 @@ class DurableRuntime:
         shed is a counted no-op — churn sources need not know the
         admission outcome of every join they issued.
         """
-        return self.apply("leave", {"node": node})[0]
+        return self._apply_committed("leave", {"node": node})[0]
 
     def crash(self, server: int) -> CrashRecord:
         """Fail-stop crash of a (currently up) local server."""
-        self.apply("crash", {"server": server})
+        self._apply_committed("crash", {"server": server})
         return self._controller.crash_records[-1]
 
     def recover_server(self, server: int) -> RecoveryRecord:
         """Recover a (currently down) local server."""
-        self.apply("recover", {"server": server})
+        self._apply_committed("recover", {"server": server})
         return self._controller.recovery_records[-1]
 
     def partition(self, servers: Iterable[int]) -> Tuple[int, ...]:
         """Make a server subset unreachable; returns stale-served nodes."""
-        return tuple(self.apply("partition", {"servers": servers})[1]["stale"])
+        return tuple(self._apply_committed("partition", {"servers": servers})[1]["stale"])
 
     def heal(self, servers: Iterable[int]) -> None:
         """Restore reachability of a partitioned server subset."""
-        self.apply("heal", {"servers": servers})
+        self._apply_committed("heal", {"servers": servers})
 
     def rebalance(self, *, max_moves: int = 16) -> int:
         """Bounded Distributed-Greedy repair; returns moves made."""
-        return self.apply("rebalance", {"max_moves": max_moves})[1]["moves"]
+        return self._apply_committed("rebalance", {"max_moves": max_moves})[1]["moves"]
 
     # ------------------------------------------------------------------
     # Re-execution (live events and WAL replay share one applier,
@@ -716,18 +713,19 @@ class DurableRuntime:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Sync the WAL and release resources (idempotent)."""
+        """Commit and release resources (idempotent)."""
         if self._closed:
             return
+        self.commit()
         self._closed = True
-        if self._wal is not None:
-            self._wal.close()
+        self._wal.close()
 
     def abandon(self) -> None:
-        """Drop the runtime without syncing — simulate a process kill.
+        """Drop the runtime without committing — simulate a process kill.
 
-        Used by the chaos harness; everything appended so far is
-        already flushed to the OS, matching a SIGKILL between events.
+        Used by the chaos harness: events applied since the last
+        :meth:`commit` are lost, committed ones are on disk, as after a
+        SIGKILL.
         """
         self._closed = True
         if self._wal is not None:

@@ -13,18 +13,14 @@ recoverable. One record per line::
   seq invalidates the line.
 - ``data`` — operation payload (JSON scalars and lists only).
 
-Durability is tunable: ``fsync_every=1`` fsyncs after every record
-(strict, one write + flush + fsync per event), ``fsync_every=N``
-group-commits every N records — appends stay in the process buffer
-until the group boundary flushes and fsyncs them, so a crash (process
-or OS) can lose up to N-1 acknowledged records, and a partial record
-at the buffer edge is handled as a torn tail on recovery.
-``fsync_every=0`` never fsyncs but still flushes per append
-(benchmarking baseline). :meth:`~WriteAheadLog.sync` and
-:meth:`~WriteAheadLog.close` always force the buffer down. The
-group-commit default in :class:`~repro.resilience.runtime.
-DurableRuntime` keeps WAL overhead under the benchmark budget (see
-``benchmarks/bench_resilience.py``).
+Appends are not durable on their own: :meth:`~WriteAheadLog.append`
+encodes a record and keeps its line pending, and
+:meth:`~WriteAheadLog.sync` writes every pending line with one
+``write`` and one ``fsync``. The runtime syncs once per acknowledged
+request (:meth:`~repro.resilience.runtime.DurableRuntime.commit`), so an
+acknowledged record is on stable storage and one not yet acknowledged
+costs no disk work. :meth:`~WriteAheadLog.abandon` drops the pending
+lines, as a killed process would.
 
 Reading tolerates exactly one damage mode for free: a torn or
 checksum-invalid **tail** (a writer died mid-line). The reader stops at
@@ -154,42 +150,21 @@ class WriteAheadLog:
         The log file; created if absent, appended to otherwise. Resuming
         an existing log requires ``next_seq`` (use
         :meth:`WriteAheadLog.resume` which derives it from the file).
-    fsync_every:
-        Group-commit interval: fsync after every N appends (``1`` =
-        strict, ``0`` = flush-only, never fsync).
     next_seq:
         Sequence number the next appended record receives.
     """
 
-    def __init__(
-        self,
-        path: PathLike,
-        *,
-        fsync_every: int = 1,
-        next_seq: int = 1,
-    ) -> None:
-        if fsync_every < 0:
-            raise InvalidParameterError(
-                f"fsync_every must be >= 0, got {fsync_every}"
-            )
+    def __init__(self, path: PathLike, *, next_seq: int = 1) -> None:
         if next_seq < 1:
             raise InvalidParameterError(f"next_seq must be >= 1, got {next_seq}")
         self.path = os.fspath(path)
-        self.fsync_every = int(fsync_every)
         self._next_seq = int(next_seq)
         self._handle = open(self.path, "ab")
-        self._unsynced = 0
-        # Registry pushes are batched with the group commit: two dict
-        # lookups per append are measurable on the hot path (see
-        # benchmarks/bench_resilience.py), and the counters only need
-        # to be correct at sync points.
-        self._uncounted = 0
+        self._pending: List[str] = []
 
     # ------------------------------------------------------------------
     @classmethod
-    def resume(
-        cls, path: PathLike, *, fsync_every: int = 1
-    ) -> Tuple["WriteAheadLog", Tuple[WalRecord, ...]]:
+    def resume(cls, path: PathLike) -> Tuple["WriteAheadLog", Tuple[WalRecord, ...]]:
         """Reopen an existing log for appending.
 
         Reads the valid prefix, truncates any torn tail, and returns
@@ -199,7 +174,7 @@ class WriteAheadLog:
         result = read_wal(path)
         truncate_torn_tail(path, result)
         last = result.records[-1].seq if result.records else 0
-        log = cls(path, fsync_every=fsync_every, next_seq=last + 1)
+        log = cls(path, next_seq=last + 1)
         return log, result.records
 
     # ------------------------------------------------------------------
@@ -218,47 +193,32 @@ class WriteAheadLog:
         return self._handle is None
 
     def append(self, kind: str, data: Optional[Dict[str, Any]] = None) -> WalRecord:
-        """Durably record one event; returns the stamped record.
+        """Stamp and encode one event; returns the record.
 
-        Under group commit the line stays in the process buffer until
-        the group boundary flushes and fsyncs the whole batch — the
-        acknowledged-loss window is ``fsync_every - 1`` records for
-        process and OS crashes alike. ``fsync_every<=1`` flushes every
-        append (and fsyncs it when ``fsync_every=1``).
+        The line stays pending until the next :meth:`sync`; nothing
+        reaches the file before then.
         """
         if self._handle is None:
             raise ResilienceError("write-ahead log is closed")
         record = WalRecord(seq=self._next_seq, kind=kind, data=dict(data or {}))
-        self._handle.write(encode_record(record).encode("utf-8") + b"\n")
+        self._pending.append(encode_record(record))
         self._next_seq += 1
-        self._unsynced += 1
-        self._uncounted += 1
-        if self.fsync_every:
-            if self._unsynced >= self.fsync_every:
-                self._handle.flush()
-                os.fsync(self._handle.fileno())
-                self._unsynced = 0
-                metrics = registry()
-                metrics.counter("resilience.wal.fsyncs").inc()
-                metrics.counter("resilience.wal.records").inc(self._uncounted)
-                self._uncounted = 0
-        else:
-            self._handle.flush()
         return record
 
     def sync(self) -> None:
-        """Force outstanding records to stable storage."""
-        if self._handle is None:
+        """Write every pending line with one write, then fsync.
+
+        A no-op when nothing was appended since the last sync.
+        """
+        if self._handle is None or not self._pending:
             return
+        lines, self._pending = self._pending, []
+        self._handle.write(("\n".join(lines) + "\n").encode("utf-8"))
         self._handle.flush()
         os.fsync(self._handle.fileno())
         metrics = registry()
-        if self._unsynced:
-            metrics.counter("resilience.wal.fsyncs").inc()
-        if self._uncounted:
-            metrics.counter("resilience.wal.records").inc(self._uncounted)
-        self._unsynced = 0
-        self._uncounted = 0
+        metrics.counter("resilience.wal.fsyncs").inc()
+        metrics.counter("resilience.wal.records").inc(len(lines))
 
     def close(self) -> None:
         """Sync and release the file handle (idempotent)."""
@@ -269,13 +229,13 @@ class WriteAheadLog:
         handle.close()
 
     def abandon(self) -> None:
-        """Release the handle *without* a final fsync (crash simulation).
+        """Release the handle *without* syncing (crash simulation).
 
-        Closing the handle flushes the buffered tail to the OS but
-        skips the fsync, so this models a process killed between
-        operations whose pages the OS kept — exactly what the chaos
-        harness simulates (it adds torn tails separately).
+        Pending lines are dropped and the file keeps only what earlier
+        syncs wrote — what a process killed between requests leaves on
+        disk. The chaos harness adds torn tails separately.
         """
+        self._pending = []
         handle, self._handle = self._handle, None
         if handle is not None:
             handle.close()

@@ -557,10 +557,6 @@ class ScenarioTrace:
     def n_leaves(self) -> int:
         return sum(1 for e in self.events if e.op == "leave")
 
-    @property
-    def has_faults(self) -> bool:
-        return any(e.op in _FAULT_OPS for e in self.events)
-
 
 # ----------------------------------------------------------------------
 # Scenario

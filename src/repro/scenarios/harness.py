@@ -368,11 +368,11 @@ def _replay_managed(
     options: ReplayOptions,
 ) -> ReplayResult:
     stack = _build_stack(built, policy)
-    manager = stack[0]
+    manager, _controller, degrade = stack
 
     def step(chunk, counters):
         for event in chunk:
-            data = check_event(*stack, event.op, event.to_event_dict())
+            data = check_event(manager, degrade, event.op, event.to_event_dict())
             outcome, extras = apply_event(*stack, event.op, data, time=event.time)
             _count(counters, event.op, outcome, extras)
             if options.maintain_moves:

@@ -19,7 +19,10 @@ structured error replies carrying the stable codes of
 Determinism contract: every reply is a pure function of the session's
 event history (no wall clocks, no RNG inside the service), so a seeded
 event sequence produces byte-identical reply streams across runs,
-transports, and durability modes.
+transports, and durability modes. Durability contract: a request's
+reply is built after its session commits, so in a WAL session every
+event a reply acknowledges is fsynced — one WAL fsync per request,
+whether it carries one event or a whole ``batch``.
 """
 
 from __future__ import annotations
@@ -140,7 +143,6 @@ class SessionConfig:
             "join_policy": self.online.join_policy,
             "durability": self.durability.mode,
             "checkpoint_every": self.durability.checkpoint_every,
-            "fsync_every": self.durability.fsync_every,
             "max_backlog": int(self.max_backlog),
             "d_budget": self.d_budget,
             "readmit_moves": int(self.readmit_moves),
@@ -153,8 +155,7 @@ class SessionConfig:
         known = {
             "nodes", "kind", "matrix_seed", "n_servers", "placement",
             "placement_seed", "servers", "capacity", "join_policy",
-            "durability", "checkpoint_every", "fsync_every",
-            "max_backlog",
+            "durability", "checkpoint_every", "max_backlog",
             "d_budget", "readmit_moves", "shed_policy",
         }
         unknown = sorted(set(data) - known)
@@ -188,7 +189,6 @@ class SessionConfig:
                         if checkpoint_every is None
                         else int(checkpoint_every)
                     ),
-                    fsync_every=int(data.get("fsync_every", 8)),
                 ),
                 max_backlog=int(data.get("max_backlog", 64)),
                 d_budget=None if d_budget is None else float(d_budget),
@@ -597,16 +597,22 @@ class AssignmentService:
             if not isinstance(what, str):
                 raise BadRequestError("'what' must be a string")
             return session.query(what)
-        if op == "batch":
-            return self._batch(request)
-        if op in EVENT_OPS:
+        if op == "batch" or op in EVENT_OPS:
             session = self.session(request.get("session"))
-            result = session.apply_event(op, request)
-            registry().counter(f"service.events.{op}").inc()
-            return result
+            # The reply is the commit point: whatever the request
+            # applied, error entries and error replies included, is
+            # durable before the reply is sent.
+            try:
+                if op == "batch":
+                    return self._batch(session, request)
+                result = session.apply_event(op, request)
+                registry().counter(f"service.events.{op}").inc()
+                return result
+            finally:
+                session.runtime.commit()
         raise UnknownOperationError(f"unknown op {op!r}")
 
-    def _batch(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _batch(self, session: Session, request: Dict[str, Any]) -> Dict[str, Any]:
         """Apply a list of session events in order (throughput path).
 
         The whole list is checked for shape (objects carrying a session
@@ -614,9 +620,9 @@ class AssignmentService:
         changes nothing. Individual event failures become inline
         ``error`` entries and the batch continues — matching the
         tolerance of the library replay path, and keeping one bad event
-        from poisoning a pipelined stream.
+        from poisoning a pipelined stream. The caller commits once, after
+        the last event: one WAL fsync acknowledges the batch.
         """
-        session = self.session(request.get("session"))
         events = request.get("events")
         if not isinstance(events, list):
             raise BadRequestError("'events' must be a list")

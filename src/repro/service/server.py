@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from typing import Optional, Tuple
+from typing import Optional, Set, Tuple
 
 from repro.errors import FrameTooLargeError, ProtocolError, ReproError
 from repro.obs import registry
@@ -65,6 +65,7 @@ class AssignmentServer:
         self._port = port
         self._max_frame_bytes = int(max_frame_bytes)
         self._server: Optional[asyncio.AbstractServer] = None
+        self._connections: Set[asyncio.StreamWriter] = set()
 
     # ------------------------------------------------------------------
     @property
@@ -100,13 +101,25 @@ class AssignmentServer:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Stop accepting and close the listening sockets."""
+        """Stop accepting, close client connections and the listening
+        sockets."""
         if self._server is not None:
-            self._server.close()
+            self._close()
             await self._server.wait_closed()
             self._server = None
         if self._owns_service:
             self.service.close()
+
+    def _close(self) -> None:
+        """Stop accepting and close every client connection.
+
+        Each connection handler then reads end of stream and returns,
+        so shutdown cancels no handler mid-read.
+        """
+        if self._server is not None:
+            self._server.close()
+        for writer in tuple(self._connections):
+            writer.close()
 
     # ------------------------------------------------------------------
     async def _serve_connection(
@@ -116,6 +129,7 @@ class AssignmentServer:
     ) -> None:
         metrics = registry()
         metrics.counter("service.connections").inc()
+        self._connections.add(writer)
         try:
             while True:
                 try:
@@ -149,6 +163,7 @@ class AssignmentServer:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
+            self._connections.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -244,13 +259,16 @@ class ServerThread:
                 await self.server._server.serve_forever()
             except asyncio.CancelledError:
                 pass
-            # Let cancelled connection handlers unwind before the loop
-            # closes, so shutdown is silent.
+            # stop() closed every connection: let the handlers finish
+            # at end of stream before the loop closes. Cancel only one
+            # that outlasts the grace period (a peer not reading).
             current = asyncio.current_task()
-            pending = [t for t in asyncio.all_tasks() if t is not current]
-            for task in pending:
-                task.cancel()
-            await asyncio.gather(*pending, return_exceptions=True)
+            handlers = [t for t in asyncio.all_tasks() if t is not current]
+            if handlers:
+                _done, stuck = await asyncio.wait(handlers, timeout=5.0)
+                for task in stuck:
+                    task.cancel()
+                await asyncio.gather(*stuck, return_exceptions=True)
             await self.server.stop()
 
         try:
@@ -264,15 +282,8 @@ class ServerThread:
         if loop is None or thread is None:
             return
         if thread.is_alive():
-
-            def _cancel() -> None:
-                server = self.server._server
-                if server is not None:
-                    server.close()
-                for task in asyncio.all_tasks(loop):
-                    task.cancel()
-
-            loop.call_soon_threadsafe(_cancel)
+            # Closing the listener ends serve_forever() in the loop.
+            loop.call_soon_threadsafe(self.server._close)
             thread.join(timeout)
         self._loop = None
         self._thread = None

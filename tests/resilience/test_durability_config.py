@@ -35,12 +35,10 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             DurabilityConfig(checkpoint_every=-1)
         with pytest.raises(InvalidParameterError):
-            DurabilityConfig(fsync_every=-1)
-        with pytest.raises(InvalidParameterError):
             DurabilityConfig(keep_checkpoints=0)
 
     def test_roundtrip(self):
-        config = DurabilityConfig(mode="off", checkpoint_every=None, fsync_every=1)
+        config = DurabilityConfig(mode="off", checkpoint_every=None, keep_checkpoints=3)
         assert DurabilityConfig.from_dict(config.to_dict()) == config
 
 
@@ -65,10 +63,10 @@ class TestRuntimeConstruction:
         with pytest.warns(DeprecationWarning, match="deprecated"):
             runtime = DurableRuntime(
                 tmp_path / "rt", matrix, servers, checkpoint_every=5,
-                fsync_every=1,
+                keep_checkpoints=1,
             )
         assert runtime.durability.checkpoint_every == 5
-        assert runtime.durability.fsync_every == 1
+        assert runtime.durability.keep_checkpoints == 1
         runtime.close()
 
     def test_double_specification_rejected(self, small_world, tmp_path):

@@ -22,8 +22,8 @@ def wal_path(tmp_path):
     return str(tmp_path / "events.wal")
 
 
-def write_records(path, n, *, fsync_every=1):
-    with WriteAheadLog(path, fsync_every=fsync_every) as log:
+def write_records(path, n):
+    with WriteAheadLog(path) as log:
         for i in range(n):
             log.append("join", {"node": i})
 
@@ -58,16 +58,24 @@ class TestAppendRead:
 
     def test_parameter_validation(self, wal_path):
         with pytest.raises(InvalidParameterError):
-            WriteAheadLog(wal_path, fsync_every=-1)
-        with pytest.raises(InvalidParameterError):
             WriteAheadLog(wal_path, next_seq=0)
 
-    def test_group_commit_still_readable_after_abandon(self, wal_path):
-        log = WriteAheadLog(wal_path, fsync_every=100)
-        for i in range(7):
+    def test_abandon_loses_exactly_the_unsynced_appends(self, wal_path):
+        log = WriteAheadLog(wal_path)
+        for i in range(5):
             log.append("join", {"node": i})
-        log.abandon()  # no final sync; appends were flushed per record
-        assert len(read_wal(wal_path).records) == 7
+        assert os.path.getsize(wal_path) == 0  # appends alone write nothing
+        log.sync()
+        synced_size = os.path.getsize(wal_path)
+        log.sync()  # nothing pending: no second write
+        assert os.path.getsize(wal_path) == synced_size
+        for i in range(5, 7):
+            log.append("join", {"node": i})
+        log.abandon()
+        result = read_wal(wal_path)
+        assert not result.torn
+        assert [r.data["node"] for r in result.records] == [0, 1, 2, 3, 4]
+        assert result.valid_bytes == synced_size
 
 
 class TestTornTail:

@@ -212,7 +212,6 @@ class TestCompile:
         assert "crash" in ops
         assert "recover" in ops
         assert ops.index("crash") < ops.index("recover")
-        assert trace.has_faults
 
     def test_rebalance_inserted(self, scenario):
         trace = scenario.compile()

@@ -141,6 +141,15 @@ class TestErrorReplies:
         assert reply["error"]["code"] == "bad-request"
         assert "shards" in reply["error"]["message"]
 
+    def test_fsync_every_parameter_rejected(self, service):
+        # A WAL session fsyncs once per request; there is no interval knob.
+        reply = service.handle(
+            {"op": "open_session", "nodes": 40, "durability": "wal", "fsync_every": 8}
+        )
+        assert reply["ok"] is False
+        assert reply["error"]["code"] == "bad-request"
+        assert "fsync_every" in reply["error"]["message"]
+
     def test_handle_never_raises(self, service):
         # Every reply is an envelope, even for garbage.
         for request in (None, 42, {"op": None}, {"op": []}, {}):

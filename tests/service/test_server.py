@@ -1,5 +1,6 @@
 """The asyncio server: concurrency, frame robustness, lifecycle."""
 
+import logging
 import threading
 
 import pytest
@@ -192,3 +193,12 @@ class TestLifecycle:
             _open(client)
         st.stop()
         assert st.server.service._closed
+
+    def test_stop_with_connected_client_logs_no_error(self, caplog):
+        st = ServerThread()
+        host, port = st.start()
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with ServiceClient(host, port) as client:
+                assert client.ping()["pong"] is True
+                st.stop()  # the client is still connected
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
