@@ -10,9 +10,7 @@ bound's >= 1 invariant is re-asserted on every replay.
 
 The measurements land in ``BENCH_scenarios.json`` (written to
 ``REPRO_BENCH_OUT`` when set) as a bench-table through the standard
-schema, including the process lower-bound cache counters — with P
-policies per scenario the expected hit rate approaches (P-1)/P, the
-evidence the cache actually carries the comparison load.
+schema.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ import os
 
 from repro.algorithms.policies import policy_names
 from repro.experiments.persistence import BenchTable, load_result, save_result
-from repro.parallel import lb_cache_stats_snapshot, lower_bound_cache
 from repro.scenarios import (
     CapacityCrunch,
     CorrelatedBursts,
@@ -124,7 +121,6 @@ def test_scenario_families(benchmark, tmp_path):
     options = ReplayOptions(
         checkpoint_every=max(n_clients // 8, 32), offline_algorithm=None
     )
-    lower_bound_cache().clear()
 
     def run():
         rows = []
@@ -160,7 +156,6 @@ def test_scenario_families(benchmark, tmp_path):
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    stats = lb_cache_stats_snapshot()
     table = BenchTable(
         name="bench_scenarios",
         columns=(
@@ -183,12 +178,8 @@ def test_scenario_families(benchmark, tmp_path):
             "n_clients": n_clients,
             "policies": list(policies),
             "checkpoint_every": options.checkpoint_every,
-            "lb_cache_hits": stats.hits,
-            "lb_cache_misses": stats.misses,
         },
     )
-    # Every policy after the first reuses each checkpoint's bound.
-    assert stats.hits >= stats.misses * (len(policies) - 1)
     out = os.environ.get("REPRO_BENCH_OUT")
     if out:
         os.makedirs(out, exist_ok=True)

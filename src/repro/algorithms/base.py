@@ -20,8 +20,6 @@ from __future__ import annotations
 import inspect
 from typing import Any, Callable, Dict, List, Optional
 
-import numpy as np
-
 from repro.core.assignment import Assignment
 from repro.core.incremental import count_evaluations
 from repro.core.metrics import max_interaction_path_length
@@ -178,12 +176,3 @@ def algorithm_names() -> List[str]:
 def paper_algorithm_names() -> List[str]:
     """The paper's four heuristics, in the paper's presentation order."""
     return ["nearest-server", "longest-first-batch", "greedy", "distributed-greedy"]
-
-
-def round_trip_distances(problem: ClientAssignmentProblem) -> np.ndarray:
-    """``(|C|, |S|)`` matrix of ``d(c, s) + d(s, c)`` round trips.
-
-    The self-interaction path of a client equals its round trip; several
-    algorithms need it as the batch-internal path-length floor.
-    """
-    return problem.client_server + problem.server_client.T

@@ -106,7 +106,7 @@ def greedy(
     # pseudocode's index[s, c]) and every per-pair term gathered into it.
     # Row s of each frame plane holds the still-unassigned clients in
     # that order; rows shrink together as batches commit. The round
-    # trip is summed in the matrix dtype, as round_trip_distances does.
+    # trip d(c, s) + d(s, c) is summed in the matrix dtype.
     order, cs_sorted = _sorted_frame(cs)  # (S, w) client ids, d(c, s)
     frame = np.empty((3, n_servers, n_clients), dtype=cs.dtype)
     frame[0] = cs_sorted  # d(c, s)

@@ -24,7 +24,6 @@ so the value of prompt reassignment is measurable (see
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -53,9 +52,6 @@ from repro.types import IndexArrayLike, as_index_array
 from repro.utils.rng import SeedLike, ensure_rng
 
 
-_UNSET: Any = object()
-
-
 @dataclass(frozen=True)
 class OnlineConfig:
     """Typed configuration for :class:`OnlineAssignmentManager`.
@@ -80,7 +76,7 @@ class OnlineConfig:
         Kernel backend for the manager's incremental engine — one of
         ``"auto"`` (default), ``"numba"``, ``"numpy"``; see
         :func:`repro.kernels.resolve_backend` and
-        ``docs/performance.md``. New knob, no deprecation shims.
+        ``docs/performance.md``.
     top_k:
         Per-server, per-direction top-k retention of the engine's
         farthest-client lists (default
@@ -132,36 +128,6 @@ class OnlineConfig:
             top_k=int(data.get("top_k", DEFAULT_TOP_K)),
         )
 
-    def merge_legacy_kwargs(
-        self, where: str, *, capacity: Any = _UNSET, join_policy: Any = _UNSET
-    ) -> "OnlineConfig":
-        """Fold deprecated constructor keywords into a config.
-
-        Emits one :class:`DeprecationWarning` per call site kind and
-        refuses silently conflicting double specification.
-        """
-        updates: Dict[str, Any] = {}
-        if capacity is not _UNSET:
-            updates["capacity"] = capacity
-        if join_policy is not _UNSET:
-            updates["join_policy"] = join_policy
-        if not updates:
-            return self
-        warnings.warn(
-            f"passing {sorted(updates)} directly to {where} is deprecated; "
-            f"pass config=OnlineConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        for key, value in updates.items():
-            if getattr(self, key) != OnlineConfig.__dataclass_fields__[
-                key
-            ].default:
-                raise InvalidParameterError(
-                    f"{key} specified both in config and as a keyword"
-                )
-        return OnlineConfig(**{**self.to_dict(), **updates})
-
 
 class OnlineAssignmentManager:
     """Maintains a client assignment under joins, leaves and rebalances.
@@ -175,8 +141,7 @@ class OnlineAssignmentManager:
     servers:
         Node indices hosting servers.
     config:
-        An :class:`OnlineConfig`; the legacy ``capacity=`` /
-        ``join_policy=`` keywords remain accepted but deprecated.
+        An :class:`OnlineConfig` (default: uncapacitated, greedy joins).
     client_nodes:
         Optional restriction of the joinable client universe to these
         node indices (the scenario harness passes a planet instance's
@@ -202,15 +167,9 @@ class OnlineAssignmentManager:
         servers: IndexArrayLike,
         config: Optional[OnlineConfig] = None,
         *,
-        capacity: Any = _UNSET,
-        join_policy: Any = _UNSET,
         client_nodes: Optional[IndexArrayLike] = None,
     ) -> None:
-        config = (config or OnlineConfig()).merge_legacy_kwargs(
-            "OnlineAssignmentManager",
-            capacity=capacity,
-            join_policy=join_policy,
-        )
+        config = config or OnlineConfig()
         self._matrix = matrix
         self._n_nodes = int(matrix.n_nodes)
         self._servers = as_index_array(servers, "servers")

@@ -145,13 +145,6 @@ class Assignment:
         cs = self._problem.client_server
         return cs[np.arange(self._problem.n_clients), self._server_of]
 
-    def weighted_loads(self) -> np.ndarray:
-        """Total client weight assigned to each server (length ``|S|``).
-
-        Equals :meth:`loads` on unweighted problems.
-        """
-        return self._capacity_loads(self._problem, self._server_of)
-
     def respects_capacities(self) -> bool:
         """Whether loads are within the problem's capacities (vacuously
         true for uncapacitated problems)."""

@@ -191,8 +191,3 @@ def solve_branch_and_bound(
             )
         raise InvalidProblemError("no feasible assignment exists (capacities)")
     return ExactResult(Assignment(problem, best_arr), best_obj, nodes)
-
-
-def optimal_objective(problem: ClientAssignmentProblem) -> float:
-    """Convenience: the optimal D by branch and bound."""
-    return solve_branch_and_bound(problem).objective

@@ -282,18 +282,6 @@ class ClientAssignmentProblem:
             client_weights=self._client_weights,
         )
 
-    def with_weights(
-        self, client_weights: Optional[Sequence[int]]
-    ) -> "ClientAssignmentProblem":
-        """A copy of this instance with the given client weights."""
-        return ClientAssignmentProblem(
-            self._matrix,
-            self._servers,
-            self._clients,
-            capacities=self._capacities,
-            client_weights=client_weights,
-        )
-
     def __repr__(self) -> str:
         cap = "capacitated" if self.is_capacitated else "uncapacitated"
         w = ", weighted" if self.is_weighted else ""

@@ -187,12 +187,6 @@ class GraphError(ReproError):
     code = "graph-error"
 
 
-class ConvergenceError(ReproError):
-    """An iterative algorithm failed to converge within its budget."""
-
-    code = "convergence-failed"
-
-
 class SimulationError(ReproError):
     """The discrete-event simulator detected an internal inconsistency."""
 

@@ -167,11 +167,6 @@ class FailoverController:
 
     # ------------------------------------------------------------------
     @property
-    def manager(self) -> OnlineAssignmentManager:
-        """The managed assignment state."""
-        return self._manager
-
-    @property
     def crash_records(self) -> Tuple[CrashRecord, ...]:
         """All crashes handled, in order."""
         return tuple(self._crashes)

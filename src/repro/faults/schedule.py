@@ -144,16 +144,6 @@ class FaultSchedule:
         return self._intervals
 
     @property
-    def spikes(self) -> Tuple[LatencySpike, ...]:
-        """All latency spikes."""
-        return self._spikes
-
-    @property
-    def loss(self) -> LossModel:
-        """The per-message fate model."""
-        return self._loss
-
-    @property
     def partitions(self) -> Tuple[Partition, ...]:
         """All partition windows, sorted by start time."""
         return self._partitions
@@ -263,8 +253,3 @@ class FaultSchedule:
             f"{len(self._spikes)} spike(s), "
             f"{len(self._partitions)} partition(s), loss={self._loss!r})"
         )
-
-
-def no_faults() -> FaultSchedule:
-    """An empty schedule (useful as a default)."""
-    return FaultSchedule()

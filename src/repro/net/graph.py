@@ -86,11 +86,6 @@ class NetworkGraph:
         return self._n
 
     @property
-    def directed(self) -> bool:
-        """Whether the graph is directed."""
-        return self._directed
-
-    @property
     def n_links(self) -> int:
         """Number of (directed) adjacency entries; an undirected link
         counts once."""

@@ -181,30 +181,6 @@ class CoordinateProvider:
         """The ``(n, dims)`` coordinates (read-only view)."""
         return self._coords
 
-    @property
-    def heights(self) -> Optional[np.ndarray]:
-        """Per-node height terms, or ``None`` when disabled."""
-        return self._heights
-
-    def content_token(self) -> str:
-        """Stable hash of everything latencies depend on.
-
-        Two providers with equal coordinates, heights, scale, floor and
-        dtype synthesize byte-identical blocks, so content-keyed caches
-        (e.g. :class:`repro.parallel.cache.LowerBoundCache`) can share
-        entries across independently built provider objects.
-        """
-        import hashlib
-
-        digest = hashlib.sha256()
-        digest.update(np.ascontiguousarray(self._coords).tobytes())
-        if self._heights is not None:
-            digest.update(np.ascontiguousarray(self._heights).tobytes())
-        digest.update(np.float64(self._scale).tobytes())
-        digest.update(np.float64(self._min_latency).tobytes())
-        digest.update(str(np.dtype(self._dtype)).encode("ascii"))
-        return digest.hexdigest()[:16]
-
     def astype(self, dtype) -> "CoordinateProvider":
         """The same provider emitting ``dtype`` blocks; ``self`` if equal."""
         dt = _check_dtype(dtype)

@@ -271,15 +271,12 @@ def _memory_lines(metrics: Snapshot) -> List[str]:
 
 
 def _scenario_lines(metrics: Snapshot) -> List[str]:
-    """The scenario-harness section: per-policy ratios + LB cache.
+    """The scenario-harness section: per-policy ratios.
 
     :func:`repro.scenarios.harness.replay_scenario` records
     ``scenarios.replay.<policy>.checkpoints`` / ``.ratio_sum`` counter
     pairs and a ``.max_ratio`` gauge per policy, plus global
     ``scenarios.events`` / ``scenarios.seconds`` throughput counters.
-    The §V lower bounds behind every ratio come from the process-wide
-    cache, whose ``parallel.lb_cache.*`` counters say how often a
-    checkpoint's bound was recomputed versus served from memory.
     """
     counters = metrics.get("counters", {})
     gauges = metrics.get("gauges", {})
@@ -318,15 +315,6 @@ def _scenario_lines(metrics: Snapshot) -> List[str]:
                 f"  {policy:<{width}}  {checkpoints:>11.0f}  "
                 f"{mean:>10.3f}  {shown_max}"
             )
-    hits = counters.get("parallel.lb_cache.hits", 0)
-    misses = counters.get("parallel.lb_cache.misses", 0)
-    if hits or misses:
-        total = hits + misses
-        rate = (hits / total * 100) if total else 0.0
-        lines.append(
-            f"  lower-bound cache: {int(hits)} hits / {int(misses)} misses "
-            f"({rate:.0f}% hit rate)"
-        )
     return lines
 
 

@@ -8,10 +8,7 @@ Three pieces:
 - :mod:`repro.parallel.shm` — publish the latency matrix once via
   POSIX shared memory instead of pickling it per task;
 - :class:`~repro.parallel.cache.InstanceCache` — build each unique
-  problem instance (and its lower bound) once per process per sweep;
-- :class:`~repro.parallel.cache.LowerBoundCache` — content-keyed §V
-  lower bounds shared across scenario replays
-  (:func:`~repro.parallel.cache.cached_lower_bound`).
+  problem instance (and its lower bound) once per process per sweep.
 """
 
 from repro.parallel.cache import (
@@ -19,16 +16,10 @@ from repro.parallel.cache import (
     CachedInstance,
     CacheStats,
     InstanceCache,
-    LowerBoundCache,
-    cache_stats_snapshot,
-    cached_lower_bound,
     instance_cache,
-    lb_cache_stats_snapshot,
-    lower_bound_cache,
 )
 from repro.parallel.pool import (
     PoolStats,
-    RetryPolicy,
     TrialOutcome,
     TrialPool,
     resolve_workers,
@@ -36,13 +27,9 @@ from repro.parallel.pool import (
     successful_values,
 )
 from repro.parallel.shm import (
-    PublishedArray,
     PublishedMatrix,
-    SharedArrayHandle,
     SharedMatrixHandle,
-    attach_array,
     attach_matrix,
-    publish_array,
     publish_matrix,
     shared_memory_available,
 )
@@ -51,7 +38,6 @@ __all__ = [
     "TrialPool",
     "TrialOutcome",
     "PoolStats",
-    "RetryPolicy",
     "resolve_workers",
     "run_trials",
     "successful_values",
@@ -59,19 +45,10 @@ __all__ = [
     "CachedInstance",
     "CacheStats",
     "instance_cache",
-    "cache_stats_snapshot",
-    "LowerBoundCache",
-    "lower_bound_cache",
-    "cached_lower_bound",
-    "lb_cache_stats_snapshot",
     "PLACEMENT_STRATEGIES",
-    "PublishedArray",
     "PublishedMatrix",
-    "SharedArrayHandle",
     "SharedMatrixHandle",
-    "publish_array",
     "publish_matrix",
-    "attach_array",
     "attach_matrix",
     "shared_memory_available",
 ]

@@ -208,118 +208,6 @@ class InstanceCache:
             self._m_evictions.inc()
 
 
-class LowerBoundCache:
-    """LRU cache of §V interaction lower bounds, keyed by content.
-
-    Unlike :class:`InstanceCache` (keyed by placement *coordinates*),
-    this cache keys on what the bound mathematically depends on: the
-    latency data, the server set, the client set and the blocking
-    parameter. The scenario harness hits it hard — a competitive-ratio
-    replay recomputes LB at every checkpoint over the revealed client
-    set, and comparing P policies on the same scenario repeats each of
-    those P times.
-
-    Dense matrices are fingerprinted by content
-    (:func:`repro.obs.manifest.fingerprint_matrix`, memoized per matrix
-    object since the bytes never change); synthetic providers fall back
-    to object identity, with the provider referenced by the entry so its
-    id cannot be recycled while the entry lives.
-    """
-
-    def __init__(self, maxsize: int = 1024) -> None:
-        if maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1, got {maxsize}")
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[tuple, float]" = OrderedDict()
-        # key -> matrix/provider reference (pins ids; see class docstring).
-        self._pins: Dict[tuple, object] = {}
-        self._fingerprints: Dict[int, str] = {}
-        self._fp_pins: Dict[int, object] = {}
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def stats(self) -> CacheStats:
-        """Current hit/miss/eviction counters."""
-        return CacheStats(self._hits, self._misses, self._evictions)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        """Drop all entries and reset counters."""
-        self._entries.clear()
-        self._pins.clear()
-        self._fingerprints.clear()
-        self._fp_pins.clear()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-
-    # ------------------------------------------------------------------
-    def _matrix_token(self, matrix: object) -> str:
-        token = self._fingerprints.get(id(matrix))
-        if token is not None:
-            return token
-        if getattr(matrix, "values", None) is not None:
-            from repro.obs.manifest import fingerprint_matrix
-
-            token = f"fp:{fingerprint_matrix(matrix)}"
-        else:
-            content_token = getattr(matrix, "content_token", None)
-            if content_token is None:
-                # Opaque provider: identity, pinned below via the entry.
-                return f"id:{id(matrix)}"
-            token = f"ct:{content_token()}"
-        self._fingerprints[id(matrix)] = token
-        self._fp_pins[id(matrix)] = matrix
-        return token
-
-    def lower_bound(
-        self, problem: ClientAssignmentProblem, *, block_size: int = 256
-    ) -> float:
-        """The (cached) interaction lower bound of ``problem``.
-
-        A pure optimization: the bound is a deterministic function of
-        the key, so hit patterns can never change results. Capacities do
-        not participate — the §V bound ignores them.
-        """
-        matrix = problem.matrix
-        key = (
-            self._matrix_token(matrix),
-            problem.servers.tobytes(),
-            problem.clients.tobytes(),
-            block_size,
-        )
-        hit = self._entries.get(key)
-        if hit is not None:
-            self._hits += 1
-            # Resolved per call so increments land in whatever registry
-            # is active (the process-global cache outlives use_registry
-            # scopes); checkpoint-frequency traffic, not a hot loop.
-            registry().counter("parallel.lb_cache.hits").inc()
-            self._entries.move_to_end(key)
-            return hit
-        self._misses += 1
-        registry().counter("parallel.lb_cache.misses").inc()
-        value = float(
-            interaction_lower_bound(
-                problem.uncapacitated(), block_size=block_size
-            )
-        )
-        self._entries[key] = value
-        self._pins[key] = matrix
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            old_key, _ = self._entries.popitem(last=False)
-            self._pins.pop(old_key, None)
-            self._evictions += 1
-            registry().counter("parallel.lb_cache.evictions").inc()
-        return value
-
-
 #: Process-global cache shared by all trial functions in this process.
 _PROCESS_CACHE: Optional[InstanceCache] = None
 
@@ -330,36 +218,3 @@ def instance_cache() -> InstanceCache:
     if _PROCESS_CACHE is None:
         _PROCESS_CACHE = InstanceCache()
     return _PROCESS_CACHE
-
-
-def cache_stats_snapshot() -> CacheStats:
-    """Counters of the process-global cache (zeros when untouched)."""
-    if _PROCESS_CACHE is None:
-        return CacheStats()
-    return _PROCESS_CACHE.stats
-
-
-#: Process-global lower-bound cache (lazily created twin of the above).
-_PROCESS_LB_CACHE: Optional[LowerBoundCache] = None
-
-
-def lower_bound_cache() -> LowerBoundCache:
-    """The process-global :class:`LowerBoundCache` (created on first use)."""
-    global _PROCESS_LB_CACHE
-    if _PROCESS_LB_CACHE is None:
-        _PROCESS_LB_CACHE = LowerBoundCache()
-    return _PROCESS_LB_CACHE
-
-
-def cached_lower_bound(
-    problem: ClientAssignmentProblem, *, block_size: int = 256
-) -> float:
-    """Process-cached :func:`~repro.core.interaction_lower_bound`."""
-    return lower_bound_cache().lower_bound(problem, block_size=block_size)
-
-
-def lb_cache_stats_snapshot() -> CacheStats:
-    """Counters of the process-global LB cache (zeros when untouched)."""
-    if _PROCESS_LB_CACHE is None:
-        return CacheStats()
-    return _PROCESS_LB_CACHE.stats

@@ -21,11 +21,10 @@ Design notes
   :mod:`repro.parallel.shm` and ships only the handle. Matrices are
   keyed by identity, so a full evaluation publishing one matrix pays
   one copy total.
-- **Failure containment.** A trial that raises is retried inside the
-  worker under a :class:`RetryPolicy` (default: one immediate retry;
-  configurable bounded exponential backoff with seeded jitter), then
-  reported as a failed :class:`TrialOutcome` — it cannot kill the
-  sweep. A worker *crash* (hard exit, OOM kill)
+- **Failure containment.** A trial that raises is retried once,
+  immediately, inside the worker, then reported as a failed
+  :class:`TrialOutcome` — it cannot kill the sweep. A worker *crash*
+  (hard exit, OOM kill)
   invalidates the executor; the pool rebuilds it once and re-runs the
   affected tasks in single-task chunks so a poison task is isolated
   and reported instead of re-killing healthy trials.
@@ -57,7 +56,7 @@ from typing import (
     Union,
 )
 
-from repro.errors import InvalidParameterError, TrialExecutionError
+from repro.errors import TrialExecutionError
 from repro.net.latency import LatencyMatrix
 from repro.obs import SECONDS_BUCKETS, registry, span
 from repro.obs.aggregate import (
@@ -74,7 +73,6 @@ from repro.parallel.shm import (
     attach_matrix,
     publish_matrix,
 )
-from repro.utils.rng import derive_seed, ensure_rng
 
 #: A trial function: ``fn(matrix, task) -> result``. Must be a
 #: module-level callable (workers import it by qualified name) and
@@ -123,72 +121,6 @@ class TrialOutcome:
         return self.error is None
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """In-worker retry schedule: bounded exponential backoff + jitter.
-
-    The default (one retry, zero base delay) reproduces the historical
-    immediate-retry behavior. With ``base_seconds > 0`` the pause before
-    retry ``k`` (0-based) is::
-
-        min(cap_seconds, base_seconds * 2**k) * (1 - jitter * u)
-
-    where ``u`` is drawn uniformly from ``[0, 1)`` by a generator seeded
-    from ``(seed, task_index, k)`` — deterministic per task and attempt,
-    decorrelated across tasks so a chunk of flaky trials does not retry
-    in lockstep. Retries and slept backoff are exported through the obs
-    registry (``pool.retry.attempts``, ``pool.retry.backoff_seconds``)
-    and flow back from workers via the metrics-delta channel.
-
-    Parameters
-    ----------
-    retries:
-        Retry attempts after the first failure (``0`` disables retry).
-    base_seconds:
-        First backoff delay; ``0`` retries immediately (the default).
-    cap_seconds:
-        Upper bound on any single delay.
-    jitter:
-        Fraction of the delay randomized away, in ``[0, 1]``.
-    seed:
-        Base seed for the jitter stream.
-    """
-
-    retries: int = 1
-    base_seconds: float = 0.0
-    cap_seconds: float = 0.25
-    jitter: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise InvalidParameterError(
-                f"retries must be >= 0, got {self.retries}"
-            )
-        if self.base_seconds < 0:
-            raise InvalidParameterError(
-                f"base_seconds must be >= 0, got {self.base_seconds}"
-            )
-        if self.cap_seconds < 0:
-            raise InvalidParameterError(
-                f"cap_seconds must be >= 0, got {self.cap_seconds}"
-            )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise InvalidParameterError(
-                f"jitter must be in [0, 1], got {self.jitter}"
-            )
-
-    def delay_seconds(self, index: int, attempt: int) -> float:
-        """The backoff before retry ``attempt`` of task ``index``."""
-        if self.base_seconds <= 0.0:
-            return 0.0
-        raw = min(self.cap_seconds, self.base_seconds * (2.0 ** attempt))
-        if self.jitter <= 0.0:
-            return raw
-        rng = ensure_rng(derive_seed(self.seed, index, attempt))
-        return raw * (1.0 - self.jitter * float(rng.random()))
-
-
 @dataclass
 class PoolStats:
     """Aggregate counters over a :class:`TrialPool`'s lifetime."""
@@ -229,50 +161,33 @@ def _execute_chunk(
     fn: TrialFn,
     matrix: Optional[LatencyMatrix],
     items: Sequence[Tuple[int, Any]],
-    retry: Optional[RetryPolicy] = None,
 ) -> Tuple[List[TrialOutcome], Snapshot]:
     """Run one chunk of ``(index, task)`` items against ``matrix``.
 
-    Trial exceptions are contained per task: in-place retries under
-    ``retry`` (default policy: one immediate retry), then a failed
-    outcome. Returns outcomes plus the metrics-registry snapshot
-    delta accrued while running the chunk (instance-cache hits/misses,
-    engine commits, algorithm counters, ...) — a plain picklable dict,
-    mergeable across workers via
+    Trial exceptions are contained per task: one immediate in-place
+    retry, then a failed outcome. Returns outcomes plus the
+    metrics-registry snapshot delta accrued while running the chunk
+    (instance-cache hits/misses, engine commits, algorithm counters,
+    ...) — a plain picklable dict, mergeable across workers via
     :func:`repro.obs.aggregate.merge_snapshots`.
     """
-    policy = retry or RetryPolicy()
     before = registry().snapshot()
     outcomes: List[TrialOutcome] = []
     for index, task in items:
         start = time.perf_counter()
-        attempt = 0
-        first_exc: Optional[BaseException] = None
-        while True:
+        for attempt in (0, 1):
             try:
                 value, error = fn(matrix, task), None
                 break
             except KeyboardInterrupt:
                 raise
             except BaseException as exc:
-                if first_exc is None:
-                    first_exc = exc
-                if attempt >= policy.retries:
-                    value, error = None, f"{type(exc).__name__}: {exc}"
-                    if attempt > 0:
-                        error += (
-                            f" (first attempt: {type(first_exc).__name__})"
-                        )
-                    break
-                pause = policy.delay_seconds(index, attempt)
-                metrics = registry()
-                metrics.counter("pool.retry.attempts").inc()
-                if pause > 0.0:
-                    metrics.histogram(
-                        "pool.retry.backoff_seconds", SECONDS_BUCKETS
-                    ).observe(pause)
-                    time.sleep(pause)
-                attempt += 1
+                value, error = None, f"{type(exc).__name__}: {exc}"
+                if attempt == 0:
+                    first_failure = type(exc).__name__
+                    registry().counter("pool.retry.attempts").inc()
+        else:  # both attempts raised
+            error += f" (first attempt: {first_failure})"
         outcomes.append(
             TrialOutcome(
                 index=index,
@@ -299,11 +214,10 @@ def _run_chunk_remote(
     fn: TrialFn,
     handle: Optional[SharedMatrixHandle],
     items: Sequence[Tuple[int, Any]],
-    retry: Optional[RetryPolicy] = None,
 ) -> Tuple[List[TrialOutcome], Snapshot]:
     """Worker entry point: attach the shared matrix, run the chunk."""
     matrix = attach_matrix(handle) if handle is not None else None
-    return _execute_chunk(fn, matrix, items, retry)
+    return _execute_chunk(fn, matrix, items)
 
 
 def _default_chunk_size(n_tasks: int, workers: int) -> int:
@@ -342,9 +256,6 @@ class TrialPool:
     chunk_size:
         Tasks per submitted chunk; default auto-sizes to ~4 chunks per
         worker per ``map_trials`` call.
-    retry:
-        In-worker retry schedule for trial exceptions; defaults to
-        :class:`RetryPolicy`'s single immediate retry.
 
     Use as a context manager (or call :meth:`close`) so worker
     processes and shared-memory segments are reclaimed deterministically.
@@ -355,11 +266,9 @@ class TrialPool:
         workers: WorkersLike = 0,
         *,
         chunk_size: Optional[int] = None,
-        retry: Optional[RetryPolicy] = None,
     ) -> None:
         self.workers = resolve_workers(workers)
         self.chunk_size = chunk_size
-        self.retry = retry or RetryPolicy()
         self.stats = PoolStats(workers=self.workers)
         self._executor: Optional[ProcessPoolExecutor] = None
         self._published: Dict[int, PublishedMatrix] = {}
@@ -422,7 +331,7 @@ class TrialPool:
                 # directly in this process's registry, so the delta is
                 # only *read* (for the cache view), never merged back.
                 outcomes, delta = _execute_chunk(
-                    fn, matrix, list(enumerate(tasks)), self.retry
+                    fn, matrix, list(enumerate(tasks))
                 )
             else:
                 outcomes, delta = self._map_parallel(fn, tasks, matrix)
@@ -494,9 +403,7 @@ class TrialPool:
         crashed: List[Tuple[int, Any]] = []
         executor = self._ensure_executor()
         futures = {
-            executor.submit(
-                _run_chunk_remote, fn, handle, chunk, self.retry
-            ): chunk
+            executor.submit(_run_chunk_remote, fn, handle, chunk): chunk
             for chunk in chunks
         }
         try:
@@ -565,7 +472,7 @@ class TrialPool:
         for index, task in sorted(items, key=lambda item: item[0]):
             executor = self._ensure_executor()
             future = executor.submit(
-                _run_chunk_remote, fn, handle, [(index, task)], self.retry
+                _run_chunk_remote, fn, handle, [(index, task)]
             )
             try:
                 task_outcomes, task_delta = future.result()

@@ -1,4 +1,4 @@
-"""Zero-copy array sharing for worker processes.
+"""Zero-copy latency-matrix sharing for worker processes.
 
 A profile-scale latency matrix is ``n_nodes x n_nodes`` of ``float64``
 — ~25 MB at the paper's 1796 nodes (half that as ``float32``; both
@@ -6,26 +6,20 @@ dtypes publish unchanged). Pickling it into every trial task
 would dominate the cost of small trials and defeat the point of a
 process pool. Instead the parent publishes the array **once** into
 POSIX shared memory (:mod:`multiprocessing.shared_memory`) and ships
-only a tiny handle; workers attach a read-only NumPy view — no copy,
-no re-validation.
-
-The generic layer is :func:`publish_array` / :func:`attach_array`,
-which share any contiguous ndarray (the scale pipeline uses it for
-reduced coreset matrices and coordinate tables). The historical
-matrix-shaped API — :func:`publish_matrix` / :func:`attach_matrix`
-returning :class:`~repro.net.latency.LatencyMatrix` views — is a thin
-veneer over it and keeps its exact semantics.
+only a tiny handle; workers attach a read-only
+:class:`~repro.net.latency.LatencyMatrix` view — no copy, no
+re-validation.
 
 Lifecycle contract
 ------------------
 
-- :func:`publish_array` / :func:`publish_matrix` return a context
-  manager owning the segment. The **publisher** is responsible for
-  ``unlink()``; leaving the ``with`` block (or calling ``close()``)
-  always unlinks, even on ``KeyboardInterrupt``.
-- Workers attach via :func:`attach_array` / :func:`attach_matrix` and
-  cache the attachment per process (keyed by segment name), so a
-  worker maps each segment once no matter how many trials it runs.
+- :func:`publish_matrix` returns a context manager owning the
+  segment. The **publisher** is responsible for ``unlink()``; leaving
+  the ``with`` block (or calling ``close()``) always unlinks, even on
+  ``KeyboardInterrupt``.
+- Workers attach via :func:`attach_matrix` and cache the attachment
+  per process (keyed by segment name), so a worker maps each segment
+  once no matter how many trials it runs.
 - When shared memory is unavailable (exotic platforms, permission-
   restricted ``/dev/shm``), publishing transparently degrades to an
   **inline** handle that carries the array bytes and is pickled per
@@ -48,17 +42,17 @@ except ImportError:  # pragma: no cover
 
 
 @dataclass(frozen=True)
-class SharedArrayHandle:
-    """A picklable descriptor of a published ndarray.
+class SharedMatrixHandle:
+    """A picklable descriptor of a published latency matrix.
 
     Either ``shm_name`` is set (shared-memory mode) or ``inline`` holds
-    the raw array bytes (fallback mode). ``shape`` is always present so
+    the raw matrix bytes (fallback mode). ``shape`` is always present so
     attachment never trusts the segment size alone, and ``dtype`` is a
-    numpy dtype *name* string (``"float64"``, ``"int64"``, ...) so
+    numpy dtype *name* string (``"float64"`` or ``"float32"``) so
     handles stay cheaply picklable.
     """
 
-    shape: Tuple[int, ...]
+    shape: Tuple[int, int]
     shm_name: Optional[str] = None
     inline: Optional[bytes] = field(default=None, repr=False)
     dtype: str = "float64"
@@ -75,43 +69,31 @@ class SharedArrayHandle:
 
     @property
     def nbytes(self) -> int:
-        """Size of the published array in bytes."""
+        """Size of the published matrix in bytes."""
         return int(np.prod(self.shape)) * self.np_dtype.itemsize
 
 
-@dataclass(frozen=True)
-class SharedMatrixHandle(SharedArrayHandle):
-    """A :class:`SharedArrayHandle` specialized to 2-D latency matrices.
-
-    Kept as its own type so matrix consumers
-    (:func:`attach_matrix`) stay self-documenting; the layout and
-    pickle format are exactly the base class's.
-    """
-
-    shape: Tuple[int, int] = (0, 0)
-
-
-class PublishedArray:
-    """An ndarray published for worker consumption.
+class PublishedMatrix:
+    """A latency matrix published for worker consumption.
 
     Context manager; owns the shared-memory segment (when one exists)
-    and guarantees ``close()``/``unlink()`` on exit. The original array
-    is kept so in-process (serial backend) consumers skip attachment
-    entirely.
+    and guarantees ``close()``/``unlink()`` on exit. The original
+    :class:`~repro.net.latency.LatencyMatrix` is kept, so its id (the
+    pool's publication key) cannot be recycled while this lives.
     """
 
     def __init__(
         self,
-        array: np.ndarray,
-        handle: SharedArrayHandle,
+        matrix: LatencyMatrix,
+        handle: SharedMatrixHandle,
         segment: Optional["_shared_memory.SharedMemory"],
     ) -> None:
-        self.array = array
+        self.matrix = matrix
         self.handle = handle
         self._segment = segment
         self._closed = False
 
-    def __enter__(self) -> "PublishedArray":
+    def __enter__(self) -> "PublishedMatrix":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
@@ -138,23 +120,6 @@ class PublishedArray:
             pass
 
 
-class PublishedMatrix(PublishedArray):
-    """A latency matrix published for worker consumption.
-
-    Adds the original :class:`~repro.net.latency.LatencyMatrix` on top
-    of :class:`PublishedArray` so serial consumers can use it directly.
-    """
-
-    def __init__(
-        self,
-        matrix: LatencyMatrix,
-        handle: SharedMatrixHandle,
-        segment: Optional["_shared_memory.SharedMemory"],
-    ) -> None:
-        super().__init__(matrix.values, handle, segment)
-        self.matrix = matrix
-
-
 def shared_memory_available() -> bool:
     """Whether POSIX shared memory can actually be used here."""
     if _shared_memory is None:
@@ -168,11 +133,16 @@ def shared_memory_available() -> bool:
     return True
 
 
-def _publish(
-    values: np.ndarray, *, prefer_shared: bool
-) -> Tuple[SharedArrayHandle, Optional["_shared_memory.SharedMemory"]]:
-    """Stage ``values`` into a fresh segment (or an inline handle)."""
-    shape = tuple(int(s) for s in values.shape)
+def publish_matrix(
+    matrix: LatencyMatrix, *, prefer_shared: bool = True
+) -> PublishedMatrix:
+    """Publish a latency matrix for zero-copy consumption by workers.
+
+    Falls back to an inline (pickled-bytes) handle when shared memory
+    is unavailable or ``prefer_shared=False``.
+    """
+    values = matrix.values
+    shape = (int(values.shape[0]), int(values.shape[1]))
     dtype_name = values.dtype.name
     if prefer_shared and _shared_memory is not None:
         try:
@@ -184,52 +154,16 @@ def _publish(
         if segment is not None:
             staged = np.ndarray(shape, dtype=values.dtype, buffer=segment.buf)
             staged[:] = values
-            return (
-                SharedArrayHandle(
-                    shape=shape, shm_name=segment.name, dtype=dtype_name
-                ),
-                segment,
+            handle = SharedMatrixHandle(
+                shape=shape, shm_name=segment.name, dtype=dtype_name
             )
-    return (
-        SharedArrayHandle(
-            shape=shape,
-            inline=np.ascontiguousarray(values).tobytes(),
-            dtype=dtype_name,
-        ),
-        None,
-    )
-
-
-def publish_array(
-    array: np.ndarray, *, prefer_shared: bool = True
-) -> PublishedArray:
-    """Publish an ndarray for zero-copy consumption by workers.
-
-    Falls back to an inline (pickled-bytes) handle when shared memory
-    is unavailable or ``prefer_shared=False``.
-    """
-    values = np.asarray(array)
-    handle, segment = _publish(values, prefer_shared=prefer_shared)
-    return PublishedArray(values, handle, segment)
-
-
-def publish_matrix(
-    matrix: LatencyMatrix, *, prefer_shared: bool = True
-) -> PublishedMatrix:
-    """Publish a latency matrix for zero-copy consumption by workers.
-
-    Falls back to an inline (pickled-bytes) handle when shared memory
-    is unavailable or ``prefer_shared=False``.
-    """
-    values = matrix.values
-    base, segment = _publish(values, prefer_shared=prefer_shared)
+            return PublishedMatrix(matrix, handle, segment)
     handle = SharedMatrixHandle(
-        shape=(int(values.shape[0]), int(values.shape[1])),
-        shm_name=base.shm_name,
-        inline=base.inline,
-        dtype=base.dtype,
+        shape=shape,
+        inline=np.ascontiguousarray(values).tobytes(),
+        dtype=dtype_name,
     )
-    return PublishedMatrix(matrix, handle, segment)
+    return PublishedMatrix(matrix, handle, None)
 
 
 # ----------------------------------------------------------------------
@@ -237,8 +171,7 @@ def publish_matrix(
 # ----------------------------------------------------------------------
 #: Per-process attachment cache: key -> (lifetime anchor, attached
 #: object). Anchoring the segment object keeps the mapping alive;
-#: entries live until the worker process exits. Arrays and matrices
-#: use disjoint key namespaces so one segment can serve both views.
+#: entries live until the worker process exits.
 _ATTACHMENTS: Dict[str, Tuple[object, object]] = {}
 
 
@@ -273,64 +206,37 @@ def _attach_segment(name: str) -> "_shared_memory.SharedMemory":
         resource_tracker.register = original
 
 
-def _attach_values(handle: SharedArrayHandle, namespace: str) -> Tuple[str, np.ndarray, object]:
-    """Attach a handle's bytes, returning ``(cache key, view, anchor)``."""
-    if handle.shm_name is None:
-        if handle.inline is None:
-            raise ValueError("handle carries neither a segment nor inline data")
-        key = (
-            f"{namespace}-inline-{id(handle.inline)}"
-            f"-{handle.shape}-{handle.dtype}"
-        )
-        values = np.frombuffer(handle.inline, dtype=handle.np_dtype).reshape(
-            handle.shape
-        )
-        values.setflags(write=False)
-        return key, values, handle.inline
-    if _shared_memory is None:  # pragma: no cover - guarded by publish
-        raise RuntimeError("shared memory unavailable in this process")
-    key = f"{namespace}-{handle.shm_name}"
-    segment = _attach_segment(handle.shm_name)
-    values = np.ndarray(handle.shape, dtype=handle.np_dtype, buffer=segment.buf)
-    values.setflags(write=False)
-    return key, values, segment
-
-
-def attach_array(handle: SharedArrayHandle) -> np.ndarray:
-    """Materialize a published ndarray in this process (read-only view).
-
-    Shared handles attach a read-only view (cached per process); inline
-    handles rebuild the array from bytes (cached as well, since chunked
-    scheduling can deliver the same handle many times).
-    """
-    probe_keys = (
-        f"array-{handle.shm_name}"
-        if handle.shm_name is not None
-        else f"array-inline-{id(handle.inline)}-{handle.shape}-{handle.dtype}"
-    )
-    cached = _ATTACHMENTS.get(probe_keys)
-    if cached is not None:
-        return cached[1]
-    key, values, anchor = _attach_values(handle, "array")
-    _ATTACHMENTS[key] = (anchor, values)
-    return values
-
-
 def attach_matrix(handle: SharedMatrixHandle) -> LatencyMatrix:
     """Materialize a published matrix in this process.
 
-    Same caching rules as :func:`attach_array`, plus a zero-copy
-    :meth:`~repro.net.latency.LatencyMatrix.wrap_readonly` wrapper.
+    Shared handles attach a read-only view; inline handles rebuild the
+    matrix from bytes. Both are cached per process, since chunked
+    scheduling can deliver the same handle many times, and wrapped
+    zero-copy by :meth:`~repro.net.latency.LatencyMatrix.wrap_readonly`.
     """
-    probe_key = (
-        f"matrix-{handle.shm_name}"
+    key = (
+        handle.shm_name
         if handle.shm_name is not None
-        else f"matrix-inline-{id(handle.inline)}-{handle.shape}-{handle.dtype}"
+        else f"inline-{id(handle.inline)}-{handle.shape}-{handle.dtype}"
     )
-    cached = _ATTACHMENTS.get(probe_key)
+    cached = _ATTACHMENTS.get(key)
     if cached is not None:
         return cached[1]
-    key, values, anchor = _attach_values(handle, "matrix")
+    if handle.shm_name is None:
+        if handle.inline is None:
+            raise ValueError("handle carries neither a segment nor inline data")
+        anchor: object = handle.inline
+        values = np.frombuffer(handle.inline, dtype=handle.np_dtype).reshape(
+            handle.shape
+        )
+    else:
+        if _shared_memory is None:  # pragma: no cover - guarded by publish
+            raise RuntimeError("shared memory unavailable in this process")
+        anchor = _attach_segment(handle.shm_name)
+        values = np.ndarray(
+            handle.shape, dtype=handle.np_dtype, buffer=anchor.buf
+        )
+    values.setflags(write=False)
     matrix = LatencyMatrix.wrap_readonly(values)
     _ATTACHMENTS[key] = (anchor, matrix)
     return matrix

@@ -31,13 +31,14 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.algorithms.online import OnlineConfig
 from repro.errors import InvalidParameterError
 from repro.faults.models import random_partition_schedule
 from repro.faults.schedule import FaultSchedule
 from repro.net.latency import LatencyMatrix
 from repro.obs import registry, span
 from repro.resilience.degrade import DegradePolicy
-from repro.resilience.runtime import WAL_NAME, DurableRuntime
+from repro.resilience.runtime import WAL_NAME, DurabilityConfig, DurableRuntime
 from repro.types import IndexArrayLike, as_index_array
 from repro.utils.rng import SeedLike, derive_seed, ensure_rng
 
@@ -254,10 +255,11 @@ def run_chaos(
             )
     base_dir = os.fspath(base_dir)
     os.makedirs(base_dir, exist_ok=True)
+    durability = DurabilityConfig(checkpoint_every=checkpoint_every)
     common = dict(
-        capacity=capacity,
+        online=OnlineConfig(capacity=capacity),
+        durability=durability,
         policy=policy,
-        checkpoint_every=checkpoint_every,
     )
 
     # ------------------------------------------------------------- baseline
@@ -297,7 +299,7 @@ def run_chaos(
                 torn = True
             start = time.perf_counter()
             recovered = DurableRuntime.recover(
-                directory, matrix, checkpoint_every=checkpoint_every
+                directory, matrix, durability=durability
             )
             recovery_seconds = time.perf_counter() - start
             replayed = recovered.applied_seq - checkpoint_seq

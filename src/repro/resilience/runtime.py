@@ -37,15 +37,10 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Optional, Tuple, Union
 
-from repro.algorithms.online import (
-    _UNSET,
-    OnlineAssignmentManager,
-    OnlineConfig,
-)
+from repro.algorithms.online import OnlineAssignmentManager, OnlineConfig
 from repro.core.incremental import DEFAULT_TOP_K
 from repro.errors import (
     CheckpointError,
@@ -139,52 +134,6 @@ class DurabilityConfig:
             "keep_checkpoints": int(self.keep_checkpoints),
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "DurabilityConfig":
-        """Rebuild a config from :meth:`to_dict` output."""
-        checkpoint_every = data.get("checkpoint_every", 25)
-        return cls(
-            mode=str(data.get("mode", "wal")),
-            checkpoint_every=(
-                None if checkpoint_every is None else int(checkpoint_every)
-            ),
-            keep_checkpoints=int(data.get("keep_checkpoints", 2)),
-        )
-
-    def merge_legacy_kwargs(
-        self,
-        where: str,
-        *,
-        checkpoint_every: Any = _UNSET,
-        keep_checkpoints: Any = _UNSET,
-    ) -> "DurabilityConfig":
-        """Fold deprecated constructor keywords into a config.
-
-        Emits a :class:`DeprecationWarning` and refuses silently
-        conflicting double specification.
-        """
-        updates: Dict[str, Any] = {}
-        if checkpoint_every is not _UNSET:
-            updates["checkpoint_every"] = checkpoint_every
-        if keep_checkpoints is not _UNSET:
-            updates["keep_checkpoints"] = keep_checkpoints
-        if not updates:
-            return self
-        warnings.warn(
-            f"passing {sorted(updates)} directly to {where} is deprecated; "
-            f"pass durability=DurabilityConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        fields = DurabilityConfig.__dataclass_fields__
-        for key in updates:
-            if getattr(self, key) != fields[key].default:
-                raise InvalidParameterError(
-                    f"{key} specified both in durability config and as a "
-                    f"keyword"
-                )
-        return DurabilityConfig(**{**self.to_dict(), **updates})
-
 
 class _NullWal:
     """In-memory stand-in for :class:`~repro.resilience.wal.WriteAheadLog`.
@@ -236,12 +185,10 @@ class DurableRuntime:
         OnlineAssignmentManager`.
     online:
         An :class:`~repro.algorithms.online.OnlineConfig` (capacity,
-        join policy); the legacy ``capacity=`` / ``join_policy=``
-        keywords remain accepted but deprecated.
+        join policy).
     durability:
         A :class:`DurabilityConfig` (mode, checkpoint cadence,
-        retention); the legacy ``checkpoint_every=`` /
-        ``keep_checkpoints=`` keywords remain accepted but deprecated.
+        retention).
     readmit_moves, shed_policy:
         Forwarded to :class:`~repro.faults.failover.FailoverController`
         (default ``"shed"``: a crash degrades rather than raises).
@@ -260,19 +207,9 @@ class DurableRuntime:
         readmit_moves: int = 8,
         shed_policy: str = "shed",
         policy: Optional[DegradePolicy] = None,
-        capacity: Any = _UNSET,
-        join_policy: Any = _UNSET,
-        checkpoint_every: Any = _UNSET,
-        keep_checkpoints: Any = _UNSET,
     ) -> None:
-        online = (online or OnlineConfig()).merge_legacy_kwargs(
-            "DurableRuntime", capacity=capacity, join_policy=join_policy
-        )
-        durability = (durability or DurabilityConfig()).merge_legacy_kwargs(
-            "DurableRuntime",
-            checkpoint_every=checkpoint_every,
-            keep_checkpoints=keep_checkpoints,
-        )
+        online = online or OnlineConfig()
+        durability = durability or DurabilityConfig()
         if durability.durable:
             if directory is None:
                 raise InvalidParameterError(
@@ -386,8 +323,6 @@ class DurableRuntime:
         matrix: LatencyMatrix,
         *,
         durability: Optional[DurabilityConfig] = None,
-        checkpoint_every: Any = _UNSET,
-        keep_checkpoints: Any = _UNSET,
     ) -> "DurableRuntime":
         """Rebuild a runtime from its directory.
 
@@ -400,11 +335,7 @@ class DurableRuntime:
         :class:`~repro.errors.CheckpointError` when the recorded matrix
         fingerprint does not match ``matrix``.
         """
-        durability = (durability or DurabilityConfig()).merge_legacy_kwargs(
-            "DurableRuntime.recover",
-            checkpoint_every=checkpoint_every,
-            keep_checkpoints=keep_checkpoints,
-        )
+        durability = durability or DurabilityConfig()
         if not durability.durable:
             raise InvalidParameterError(
                 "cannot recover with durability mode 'off' — there is "
@@ -505,11 +436,6 @@ class DurableRuntime:
     def manager(self) -> OnlineAssignmentManager:
         """The wrapped assignment manager."""
         return self._manager
-
-    @property
-    def controller(self) -> FailoverController:
-        """The wrapped failover controller."""
-        return self._controller
 
     @property
     def degrade(self) -> DegradeController:

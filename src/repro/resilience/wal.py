@@ -184,11 +184,6 @@ class WriteAheadLog:
         return self._next_seq
 
     @property
-    def last_seq(self) -> int:
-        """Sequence number of the last appended record (0 = none)."""
-        return self._next_seq - 1
-
-    @property
     def closed(self) -> bool:
         return self._handle is None
 

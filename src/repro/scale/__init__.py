@@ -25,7 +25,6 @@ from repro.scale.coreset import Coreset, build_coreset
 from repro.scale.pipeline import (
     ScaleResult,
     expanded_objective,
-    publish_reduced_views,
     solve_at_scale,
 )
 
@@ -35,5 +34,4 @@ __all__ = [
     "ScaleResult",
     "solve_at_scale",
     "expanded_objective",
-    "publish_reduced_views",
 ]

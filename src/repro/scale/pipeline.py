@@ -13,10 +13,6 @@ farthest-leg maxima, then the O(|S|^2) server reduction — never a dense
 
 is re-checked on every run and a violation raises — it would mean the
 coreset invariant itself is broken, not merely a bad solve.
-
-For worker fan-out over one reduced instance,
-:func:`publish_reduced_views` pushes the three distance views through
-:mod:`repro.parallel.shm` so trials attach them zero-copy.
 """
 
 from __future__ import annotations
@@ -246,29 +242,3 @@ def solve_at_scale(
         algorithm=algorithm,
         elapsed_seconds=watch.elapsed,
     )
-
-
-def publish_reduced_views(
-    problem: ClientAssignmentProblem, *, prefer_shared: bool = True
-) -> Dict[str, "Any"]:
-    """Publish a reduced instance's distance views via shared memory.
-
-    Returns ``{"client_server": PublishedArray, "server_client": ...,
-    "server_server": ...}``; the caller owns the contexts (close() to
-    unlink). Workers rebuild the views with
-    :func:`repro.parallel.shm.attach_array` — zero copies of the only
-    O(|R| |S|) arrays the reduced solve needs.
-    """
-    from repro.parallel.shm import publish_array
-
-    return {
-        "client_server": publish_array(
-            problem.client_server, prefer_shared=prefer_shared
-        ),
-        "server_client": publish_array(
-            problem.server_client, prefer_shared=prefer_shared
-        ),
-        "server_server": publish_array(
-            problem.server_server, prefer_shared=prefer_shared
-        ),
-    }

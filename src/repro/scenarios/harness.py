@@ -15,10 +15,10 @@ decision stream strays from what the instance allows:
   instance with the same capacity). Informational: the offline
   algorithm is itself a heuristic, so regret may be negative.
 
-Lower bounds are served by the process-global
-:class:`~repro.parallel.cache.LowerBoundCache` — comparing P policies
-on one scenario recomputes each checkpoint bound once, not P times
-(hit/miss counters land in the ``repro obs`` report).
+Each checkpoint computes its bound directly with
+:func:`~repro.core.interaction_lower_bound` (a few milliseconds on a
+Meridian-size instance), so comparing P policies on one scenario
+computes each checkpoint bound P times.
 
 Two execution paths, both with the semantics the service serves:
 ``library`` (an :class:`~repro.algorithms.online.OnlineAssignmentManager`
@@ -46,11 +46,10 @@ import numpy as np
 from repro.algorithms.base import run_algorithm
 from repro.algorithms.online import OnlineAssignmentManager, OnlineConfig
 from repro.algorithms.policies import validate_policy_name
-from repro.core import ClientAssignmentProblem
+from repro.core import ClientAssignmentProblem, interaction_lower_bound
 from repro.errors import ReproError, ScenarioError
 from repro.faults.failover import FailoverController
 from repro.obs.metrics import registry
-from repro.parallel.cache import cached_lower_bound
 from repro.parallel.pool import TrialPool, run_trials, successful_values
 from repro.resilience.degrade import DegradeController, DegradePolicy
 from repro.resilience.events import apply_event, check_event
@@ -219,7 +218,7 @@ def _measure(
     revealed = ClientAssignmentProblem(
         built.provider, built.servers, clients=clients
     )
-    lb = cached_lower_bound(revealed, block_size=options.block_size)
+    lb = interaction_lower_bound(revealed, block_size=options.block_size)
     ratio = d_online / lb if lb > 0 else 1.0
     d_offline = ratio_offline = regret = None
     if options.offline_algorithm is not None:
@@ -512,9 +511,7 @@ def compare_policies(
     """Replay one scenario through several policies, in trace order.
 
     Fan-out goes through :class:`~repro.parallel.pool.TrialPool` when
-    ``pool`` is given (``workers=0`` is the serial twin — and shares
-    the process lower-bound cache across policies, so only the first
-    replay pays for each checkpoint's LB).
+    ``pool`` is given (``workers=0`` is the serial twin).
     """
     if not policies:
         raise ScenarioError("need at least one policy to compare")

@@ -443,11 +443,6 @@ class AssignmentService:
         self._closed = False
 
     # ------------------------------------------------------------------
-    @property
-    def sessions(self) -> Tuple[str, ...]:
-        """Live session ids, in open order."""
-        return tuple(self._sessions)
-
     def matrix_for(self, config: SessionConfig) -> LatencyMatrix:
         """The (cached) latency matrix for a session spec."""
         key = (config.kind, int(config.nodes), int(config.matrix_seed))

@@ -44,20 +44,6 @@ class LoadgenReport:
     digest: Optional[str] = None
     verified: Optional[bool] = None
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "n_events": self.n_events,
-            "n_batches": self.n_batches,
-            "elapsed_seconds": self.elapsed_seconds,
-            "events_per_second": self.events_per_second,
-            "p50_ms": self.p50_ms,
-            "p99_ms": self.p99_ms,
-            "max_ms": self.max_ms,
-            "outcomes": dict(self.outcomes),
-            "digest": self.digest,
-            "verified": self.verified,
-        }
-
     def render(self) -> str:
         lines = [
             f"events          {self.n_events}",

@@ -59,10 +59,6 @@ class ReplayResult:
     digest: str
     outcomes: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def n_events(self) -> int:
-        return len(self.trajectory)
-
 
 def trajectory_digest(trajectory: Iterable[Dict[str, Any]]) -> str:
     """SHA-256 over the canonical JSON of a trajectory.

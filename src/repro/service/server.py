@@ -218,12 +218,6 @@ class ServerThread:
         self._address: Optional[Tuple[str, int]] = None
         self._startup_error: Optional[BaseException] = None
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        if self._address is None:
-            raise RuntimeError("server thread is not started")
-        return self._address
-
     def start(self, timeout: float = 10.0) -> Tuple[str, int]:
         """Start the loop thread; block until the server is bound."""
         if self._thread is not None:

@@ -23,11 +23,6 @@ class SimulationClock:
     def __init__(self, offset: float = 0.0) -> None:
         self._offset = float(offset)
 
-    @property
-    def offset(self) -> float:
-        """Simulation-time offset relative to the client reference."""
-        return self._offset
-
     def sim_time(self, wall_time: float) -> float:
         """Simulation time at a given wall-clock time."""
         return wall_time + self._offset

@@ -5,6 +5,7 @@ import pytest
 
 from repro.algorithms.online import (
     OnlineAssignmentManager,
+    OnlineConfig,
     simulate_churn,
 )
 from repro.core import max_interaction_path_length
@@ -86,8 +87,8 @@ class TestJoinQuality:
     def test_greedy_join_no_worse_than_nearest(self, matrix, servers):
         rng = np.random.default_rng(2)
         nodes = [int(n) for n in rng.choice(range(6, 50), size=25, replace=False)]
-        greedy_mgr = OnlineAssignmentManager(matrix, servers, join_policy="greedy")
-        nearest_mgr = OnlineAssignmentManager(matrix, servers, join_policy="nearest")
+        greedy_mgr = OnlineAssignmentManager(matrix, servers, OnlineConfig(join_policy="greedy"))
+        nearest_mgr = OnlineAssignmentManager(matrix, servers, OnlineConfig(join_policy="nearest"))
         for node in nodes:
             greedy_mgr.join(node)
             nearest_mgr.join(node)
@@ -95,18 +96,18 @@ class TestJoinQuality:
 
     def test_invalid_join_policy(self, matrix, servers):
         with pytest.raises(ValueError):
-            OnlineAssignmentManager(matrix, servers, join_policy="round-robin")
+            OnlineAssignmentManager(matrix, servers, OnlineConfig(join_policy="round-robin"))
 
 
 class TestCapacity:
     def test_capacity_respected(self, matrix, servers):
-        manager = OnlineAssignmentManager(matrix, servers, capacity=2)
+        manager = OnlineAssignmentManager(matrix, servers, OnlineConfig(capacity=2))
         for node in range(6, 16):
             manager.join(node)
         assert np.all(manager.loads() <= 2)
 
     def test_full_system_rejects_joins(self, matrix, servers):
-        manager = OnlineAssignmentManager(matrix, servers, capacity=1)
+        manager = OnlineAssignmentManager(matrix, servers, OnlineConfig(capacity=1))
         for node in range(6, 11):
             manager.join(node)
         with pytest.raises(CapacityError):
@@ -114,12 +115,12 @@ class TestCapacity:
 
     def test_invalid_capacity(self, matrix, servers):
         with pytest.raises(ValueError):
-            OnlineAssignmentManager(matrix, servers, capacity=0)
+            OnlineAssignmentManager(matrix, servers, OnlineConfig(capacity=0))
 
 
 class TestRebalance:
     def test_rebalance_never_worsens(self, matrix, servers):
-        manager = OnlineAssignmentManager(matrix, servers, join_policy="nearest")
+        manager = OnlineAssignmentManager(matrix, servers, OnlineConfig(join_policy="nearest"))
         rng = np.random.default_rng(3)
         for node in rng.choice(range(6, 50), size=30, replace=False):
             manager.join(int(node))
@@ -215,7 +216,7 @@ class TestChurnEdgeCases:
     def test_join_at_full_capacity_leaves_state_unchanged(
         self, matrix, servers
     ):
-        manager = OnlineAssignmentManager(matrix, servers, capacity=4)
+        manager = OnlineAssignmentManager(matrix, servers, OnlineConfig(capacity=4))
         self._fill(manager, n=20)  # 5 servers * 4 slots: completely full
         assert int(manager.loads().sum()) == 20
         before = {c: manager.server_of(c) for c in manager.clients}

@@ -1,4 +1,4 @@
-"""OnlineConfig: validation, serialization, and the legacy-kwargs shim."""
+"""OnlineConfig: validation, serialization, and manager construction."""
 
 import warnings
 
@@ -49,44 +49,6 @@ class TestManagerConstruction:
                 matrix, servers, OnlineConfig(capacity=4)
             )
         assert manager.config.capacity == 4
-
-    def test_legacy_kwargs_warn_but_work(self, small_world):
-        matrix, servers = small_world
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            manager = OnlineAssignmentManager(
-                matrix, servers, capacity=4, join_policy="nearest"
-            )
-        assert manager.config == OnlineConfig(capacity=4, join_policy="nearest")
-
-    def test_double_specification_rejected(self, small_world):
-        matrix, servers = small_world
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(InvalidParameterError, match="both"):
-                OnlineAssignmentManager(
-                    matrix, servers, OnlineConfig(capacity=4), capacity=5
-                )
-
-    def test_equivalent_behaviour_old_and_new(self, small_world):
-        matrix, servers = small_world
-        new = OnlineAssignmentManager(matrix, servers, OnlineConfig(capacity=2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = OnlineAssignmentManager(matrix, servers, capacity=2)
-        clients = [u for u in range(30) if u not in set(int(s) for s in servers)]
-        for node in clients[:8]:
-            try:
-                new.join(node)
-                new_outcome = "ok"
-            except Exception as exc:
-                new_outcome = type(exc).__name__
-            try:
-                old.join(node)
-                old_outcome = "ok"
-            except Exception as exc:
-                old_outcome = type(exc).__name__
-            assert new_outcome == old_outcome
-        assert new.current_d() == old.current_d()
 
 
 class TestEngineKnobs:

@@ -17,7 +17,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.algorithms.online import OnlineAssignmentManager
+from repro.algorithms.online import OnlineAssignmentManager, OnlineConfig
 from repro.datasets.synthetic import small_world_latencies
 from repro.placement import random_placement
 
@@ -32,7 +32,7 @@ class OnlineManagerMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.manager = OnlineAssignmentManager(
-            MATRIX, SERVERS, capacity=CAPACITY
+            MATRIX, SERVERS, OnlineConfig(capacity=CAPACITY)
         )
         self.model: dict = {}  # node -> server (mirror of expected state)
 

@@ -10,7 +10,7 @@ deterministic under a fixed seed.
 import numpy as np
 import pytest
 
-from repro.algorithms.online import OnlineAssignmentManager
+from repro.algorithms.online import OnlineAssignmentManager, OnlineConfig
 from repro.datasets.synthetic import small_world_latencies
 from repro.errors import InvalidParameterError
 from repro.faults import (
@@ -36,7 +36,7 @@ class TestAcceptanceScenario:
     """The seeded crash → degraded → recovery arc from the issue."""
 
     def run_cycle(self, matrix, servers):
-        manager = OnlineAssignmentManager(matrix, servers, join_policy="greedy")
+        manager = OnlineAssignmentManager(matrix, servers, OnlineConfig(join_policy="greedy"))
         server_set = set(int(s) for s in servers)
         nodes = [u for u in range(matrix.n_nodes) if u not in server_set][:30]
         for node in nodes:

@@ -4,7 +4,7 @@ controller."""
 import numpy as np
 import pytest
 
-from repro.algorithms.online import OnlineAssignmentManager
+from repro.algorithms.online import OnlineAssignmentManager, OnlineConfig
 from repro.datasets.synthetic import small_world_latencies
 from repro.errors import (
     CapacityError,
@@ -27,7 +27,7 @@ def servers(matrix):
 
 
 def populated_manager(matrix, servers, *, capacity=None, n=25):
-    manager = OnlineAssignmentManager(matrix, servers, capacity=capacity)
+    manager = OnlineAssignmentManager(matrix, servers, OnlineConfig(capacity=capacity))
     server_set = set(int(s) for s in servers)
     nodes = [u for u in range(matrix.n_nodes) if u not in server_set][:n]
     for node in nodes:

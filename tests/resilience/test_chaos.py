@@ -1,5 +1,7 @@
 """Chaos harness: workload determinism and the kill/recover/diff gate."""
 
+import warnings
+
 import pytest
 
 from repro.datasets.synthetic import small_world_latencies
@@ -151,4 +153,22 @@ class TestRunChaos:
             matrix, servers, tmp_path, n_events=24, seed=9, checkpoint_every=5
         )
         assert len(report.kill_points) == 3
+        assert report.ok
+
+    def test_runs_without_warnings(self, tmp_path, matrix, servers):
+        """The library builds its runtimes through the config objects, so
+        a clean run (no torn tail to report) emits no warning at all."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_chaos(
+                matrix,
+                servers,
+                tmp_path,
+                n_events=30,
+                kill_points=(11, 22),
+                seed=4,
+                capacity=12,
+                checkpoint_every=10,
+                tear_tail=False,
+            )
         assert report.ok

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.algorithms.online import OnlineAssignmentManager
+from repro.algorithms.online import OnlineAssignmentManager, OnlineConfig
 from repro.datasets.synthetic import small_world_latencies
 from repro.errors import InvalidParameterError, ResilienceError
 from repro.resilience import (
@@ -26,7 +26,7 @@ def servers(matrix):
 
 
 def make(matrix, servers, *, capacity=None, policy=None):
-    manager = OnlineAssignmentManager(matrix, servers, capacity=capacity)
+    manager = OnlineAssignmentManager(matrix, servers, OnlineConfig(capacity=capacity))
     return manager, DegradeController(manager, policy)
 
 

@@ -1,6 +1,4 @@
-"""DurabilityConfig: validation, volatile mode, and the legacy shim."""
-
-import warnings
+"""DurabilityConfig: validation, volatile mode, and runtime construction."""
 
 import pytest
 
@@ -39,7 +37,11 @@ class TestValidation:
 
     def test_roundtrip(self):
         config = DurabilityConfig(mode="off", checkpoint_every=None, keep_checkpoints=3)
-        assert DurabilityConfig.from_dict(config.to_dict()) == config
+        assert config.to_dict() == {
+            "mode": "off",
+            "checkpoint_every": None,
+            "keep_checkpoints": 3,
+        }
 
 
 class TestRuntimeConstruction:
@@ -57,30 +59,6 @@ class TestRuntimeConstruction:
             assert runtime.wal.path is None
             assert runtime.join(1) == "assigned"
             assert runtime.applied_seq == 2
-
-    def test_legacy_kwargs_warn_but_work(self, small_world, tmp_path):
-        matrix, servers = small_world
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            runtime = DurableRuntime(
-                tmp_path / "rt", matrix, servers, checkpoint_every=5,
-                keep_checkpoints=1,
-            )
-        assert runtime.durability.checkpoint_every == 5
-        assert runtime.durability.keep_checkpoints == 1
-        runtime.close()
-
-    def test_double_specification_rejected(self, small_world, tmp_path):
-        matrix, servers = small_world
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(InvalidParameterError, match="both"):
-                DurableRuntime(
-                    tmp_path / "rt2",
-                    matrix,
-                    servers,
-                    durability=DurabilityConfig(checkpoint_every=5),
-                    checkpoint_every=7,
-                )
 
     def test_recover_refuses_off_mode(self, small_world, tmp_path):
         matrix, servers = small_world

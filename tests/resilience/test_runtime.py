@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.algorithms.online import OnlineConfig
 from repro.datasets.synthetic import small_world_latencies
 from repro.errors import (
     CheckpointError,
@@ -13,7 +14,7 @@ from repro.errors import (
 )
 from repro.placement import random_placement
 from repro.resilience import DegradePolicy, DurableRuntime, list_checkpoints
-from repro.resilience.runtime import WAL_NAME
+from repro.resilience.runtime import WAL_NAME, DurabilityConfig
 
 
 @pytest.fixture
@@ -107,7 +108,11 @@ class TestEventApi:
         nodes = client_nodes(matrix, servers, 5)
         policy = DegradePolicy(max_backlog=1)
         with DurableRuntime(
-            tmp_path, matrix, servers, capacity=1, policy=policy
+            tmp_path,
+            matrix,
+            servers,
+            online=OnlineConfig(capacity=1),
+            policy=policy,
         ) as runtime:
             assert [runtime.join(n) for n in nodes[:3]] == ["assigned"] * 3
             assert runtime.join(nodes[3]) == "queued"
@@ -147,7 +152,10 @@ class TestRecovery:
     def test_byte_identical_with_checkpoint(self, tmp_path, matrix, servers):
         nodes = client_nodes(matrix, servers, 8)
         runtime = DurableRuntime(
-            tmp_path, matrix, servers, checkpoint_every=4
+            tmp_path,
+            matrix,
+            servers,
+            durability=DurabilityConfig(checkpoint_every=4),
         )
         churn(runtime, nodes)
         expected = runtime.digest()
@@ -164,7 +172,10 @@ class TestRecovery:
         """checkpoint_every=None: recovery replays the whole log."""
         nodes = client_nodes(matrix, servers, 8)
         runtime = DurableRuntime(
-            tmp_path, matrix, servers, checkpoint_every=None
+            tmp_path,
+            matrix,
+            servers,
+            durability=DurabilityConfig(checkpoint_every=None),
         )
         churn(runtime, nodes)
         expected = runtime.digest()
@@ -209,7 +220,11 @@ class TestRecovery:
         nodes = client_nodes(matrix, servers, 5)
         policy = DegradePolicy(max_backlog=4)
         runtime = DurableRuntime(
-            tmp_path, matrix, servers, capacity=1, policy=policy
+            tmp_path,
+            matrix,
+            servers,
+            online=OnlineConfig(capacity=1),
+            policy=policy,
         )
         for node in nodes[:3]:
             runtime.join(node)
@@ -237,7 +252,10 @@ class TestRecovery:
     ):
         nodes = client_nodes(matrix, servers, 8)
         runtime = DurableRuntime(
-            tmp_path, matrix, servers, checkpoint_every=3, keep_checkpoints=3
+            tmp_path,
+            matrix,
+            servers,
+            durability=DurabilityConfig(checkpoint_every=3, keep_checkpoints=3),
         )
         churn(runtime, nodes)
         expected = runtime.digest()

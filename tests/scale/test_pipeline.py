@@ -11,11 +11,9 @@ from repro.datasets import coreset_cell_size_hint, planet_instance
 from repro.datasets.synthetic import small_world_latencies
 from repro.errors import InvalidParameterError, ScaleBoundError
 from repro.obs import MetricsRegistry, use_registry
-from repro.parallel.shm import attach_array
 from repro.scale import (
     build_coreset,
     expanded_objective,
-    publish_reduced_views,
     solve_at_scale,
 )
 
@@ -266,35 +264,3 @@ def test_invalid_parameters(instance):
                 server_of[: clients.size],
                 chunk_size=chunk_size,
             )
-
-
-def test_publish_reduced_views_round_trip(instance):
-    coreset = build_coreset(
-        instance.provider,
-        instance.servers,
-        instance.clients,
-        cell_size=coreset_cell_size_hint(instance),
-    )
-    problem = ClientAssignmentProblem(
-        instance.provider,
-        instance.servers,
-        clients=coreset.representatives,
-        client_weights=coreset.weights,
-    )
-    published = publish_reduced_views(problem)
-    try:
-        assert set(published) == {
-            "client_server",
-            "server_client",
-            "server_server",
-        }
-        for name, source in (
-            ("client_server", problem.client_server),
-            ("server_client", problem.server_client),
-            ("server_server", problem.server_server),
-        ):
-            attached = attach_array(published[name].handle)
-            assert np.array_equal(attached, source)
-    finally:
-        for ctx in published.values():
-            ctx.close()

@@ -8,7 +8,7 @@ from repro.algorithms.online import OnlineConfig
 from repro.algorithms.policies import policy_names
 from repro.errors import InvalidParameterError, ScenarioError
 from repro.obs import MetricsRegistry, use_registry
-from repro.parallel import TrialPool, lower_bound_cache
+from repro.parallel import TrialPool
 from repro.resilience.checkpoint import decode_float
 from repro.scenarios import (
     Checkpoint,
@@ -28,12 +28,6 @@ from repro.scenarios import (
 from repro.service.replay import replay_events
 
 FAST = ReplayOptions(checkpoint_every=64, offline_algorithm=None)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_lb_cache():
-    lower_bound_cache().clear()
-    yield
 
 
 class TestReplayOptions:
@@ -288,21 +282,3 @@ class TestComparePolicies:
             )
         assert [r.policy for r in a] == policies
         assert [_strip_timing(r) for r in a] == [_strip_timing(r) for r in b]
-
-    def test_lb_cache_shared_across_policies(self):
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            lower_bound_cache().clear()
-            compare_policies(
-                bundled_scenario("diurnal"),
-                ["greedy", "nearest", "threshold"],
-                options=FAST,
-            )
-        counters = registry.snapshot()["counters"]
-        # All policies face the same trace, so after the first policy
-        # pays for each checkpoint's lower bound the rest hit the cache.
-        assert counters["parallel.lb_cache.hits"] > 0
-        assert (
-            counters["parallel.lb_cache.hits"]
-            >= counters["parallel.lb_cache.misses"]
-        )
