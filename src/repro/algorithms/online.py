@@ -57,9 +57,9 @@ class OnlineConfig:
     """Typed configuration for :class:`OnlineAssignmentManager`.
 
     Consolidates the manager's former keyword sprawl into one validated
-    object that can be passed around, serialized (:meth:`to_dict` /
-    :meth:`from_dict`), and shared between the library path and the
-    service layer (:mod:`repro.service`).
+    object that can be passed around, serialized (:meth:`to_dict`), and
+    shared between the library path and the service layer
+    (:mod:`repro.service`).
 
     Parameters
     ----------
@@ -111,22 +111,6 @@ class OnlineConfig:
             "backend": self.backend,
             "top_k": int(self.top_k),
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "OnlineConfig":
-        """Rebuild a config from :meth:`to_dict` output.
-
-        ``backend`` / ``top_k`` default when absent so
-        configs (and checkpoints) serialized before those knobs existed
-        keep loading.
-        """
-        capacity = data.get("capacity")
-        return cls(
-            capacity=None if capacity is None else int(capacity),
-            join_policy=str(data.get("join_policy", "greedy")),
-            backend=str(data.get("backend", "auto")),
-            top_k=int(data.get("top_k", DEFAULT_TOP_K)),
-        )
 
 
 class OnlineAssignmentManager:

@@ -277,6 +277,24 @@ class CoordinateProvider:
         return LatencyMatrix(block, validate=False)
 
 
+def legs_mirror(provider: LatencyProvider, servers: np.ndarray) -> bool:
+    """Whether ``d(c, s) == d(s, c)`` bit for bit for every node ``c``
+    and every server ``s`` in ``servers``, decided by construction.
+
+    True for a :class:`CoordinateProvider` whose ``servers`` have zero
+    height (or that has no heights): its block pipeline is symmetric
+    elementwise — Euclidean distance, scale, floor, diagonal and cast —
+    and ``(d + h_c) + 0.0 == (d + 0.0) + h_c``, so the client→server
+    block is the exact transpose of the server→client one. False for a
+    :class:`~repro.net.latency.LatencyMatrix` and any other provider,
+    which are never inspected element by element.
+    """
+    if not isinstance(provider, CoordinateProvider):
+        return False
+    heights = provider._heights
+    return heights is None or bool(np.all(heights[servers] == 0.0))
+
+
 def provider_name(provider: LatencyProvider) -> str:
     """A short stable label for cache keys and manifests."""
     if isinstance(provider, LatencyMatrix):

@@ -1,13 +1,21 @@
 """Client coresets: weighted super-clients with an additive D bound.
 
 The objective D is a *maximum* over client pairs, so two clients whose
-latency profiles — the ``2|S|`` vector of distances to and from every
-server — differ by at most ``epsilon`` per coordinate are exchangeable
-up to ``epsilon`` per path leg. Grid-quantizing profiles at cell size
+latency profiles — the vector of distances to and from every server —
+differ by at most ``epsilon`` per coordinate are exchangeable up to
+``epsilon`` per path leg. Grid-quantizing profiles at cell size
 ``cell_size`` groups such clients; keeping one **representative** per
 occupied cell with the cell population as its integer weight yields a
 reduced instance whose size depends on the latency geometry, not on
 |C|.
+
+The profile is ``2|S|`` wide in general: the ``d(c, s)`` legs, then
+the ``d(s, c)`` legs. When the provider guarantees by construction that
+the two mirror each other bit for bit
+(:func:`~repro.net.provider.legs_mirror`, e.g. a coordinate provider
+whose servers have zero height), the second half would repeat the first,
+so the profile is the ``|S|`` client→server legs alone: same cells,
+same ``epsilon``, half the synthesis.
 
 **Guarantee.** Let ``eps`` be the *achieved* deviation
 (:attr:`Coreset.epsilon`): the maximum over clients ``c`` and servers
@@ -26,19 +34,22 @@ Construction is **chunked**: profiles are synthesized
 ``chunk_size`` clients at a time through the
 :class:`~repro.net.provider.LatencyProvider` views, so peak memory is
 O(chunk_size · |S| + |R| · |S|) — a million clients never materialize a
-dense ``|C| x |S|`` block.
+dense ``|C| x |S|`` block. Each chunk's cells are merged into the groups
+found so far by a **sorted-key merge** (:func:`_merge_cells`): one int64
+key per quantized row, a ``searchsorted`` against the known groups'
+sorted keys, and an exact row check, with no per-cell Python work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.errors import InvalidParameterError
-from repro.net.provider import LatencyProvider
+from repro.net.provider import LatencyProvider, legs_mirror
 from repro.obs.metrics import registry
 from repro.types import IndexArrayLike, as_index_array
 
@@ -48,7 +59,7 @@ DEFAULT_CHUNK_SIZE = 65536
 
 @lru_cache(maxsize=None)
 def _mixing_vector(width: int) -> np.ndarray:
-    """``width`` fixed odd int64 multipliers for :func:`_dedup_cells`.
+    """``width`` fixed odd int64 multipliers that key quantized rows.
 
     Column ``i`` gets the splitmix64 finalizer of ``i + 1``: a constant
     of the module, not a parameter, so cell keys never depend on the
@@ -71,25 +82,58 @@ def _dedup_rows(quantized: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return first, inverse.reshape(-1)
 
 
-def _dedup_cells(quantized: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Partition the rows of ``quantized`` into distinct cells.
+def _merge_cells(
+    quantized: np.ndarray,
+    keys: np.ndarray,
+    group_keys: np.ndarray,
+    group_rows: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Label one chunk's quantized rows with known or new groups.
 
-    Returns ``(first, inverse)``: ``first[j]`` is the first row of cell
-    ``j`` and ``inverse[i]`` the cell of row ``i``. Each row is keyed by
-    one wrapping int64 dot product with :func:`_mixing_vector`, so a
-    1-D sort replaces the row-wise sort of ``np.unique(axis=0)``. The
-    partition is then verified exactly — every row must equal its
-    cell's first row — and a key collision falls back to the row-wise
-    dedup. Cell numbering differs between the two, but the caller only
-    relies on ``first`` and ``inverse`` agreeing, so results do not.
+    ``keys[i]`` is row ``i``'s cell key; ``group_keys[g]`` and
+    ``group_rows[g]`` are the key and quantized row of known group
+    ``g`` of ``n``. Returns ``(labels, founders)``: ``labels[i]`` is row
+    ``i``'s group and ``founders`` the first rows of the cells that open
+    the new groups ``n, n + 1, ...``, in first-encounter order — the
+    numbering of a one-pass scan over all clients, whatever the chunk.
+
+    A 1-D ``np.unique`` over the keys splits the chunk into cells and a
+    ``searchsorted`` looks each cell's key up among the known groups.
+    Both are verified exactly: every row must equal its cell's first
+    row, and every key hit must equal its group's row. A key that no
+    known group holds has no known row either, so a miss needs no
+    check. A 64-bit key collision — two cells of the chunk sharing a
+    key, or a hit on a group with another row (``group_keys`` may hold
+    a key twice after an earlier collision) — fails a check, and the
+    chunk falls back to one exact row-wise dedup stacked under the
+    known rows. Known rows are distinct, so a cell whose first row lies
+    among them *is* that group; the groups come out the same either
+    way.
     """
-    keys = quantized @ _mixing_vector(quantized.shape[1])
-    _keys, first, inverse = np.unique(
+    n_groups = group_rows.shape[0]
+    cell_keys, first, inverse = np.unique(
         keys, return_index=True, return_inverse=True
     )
-    if np.array_equal(quantized, quantized[first[inverse]]):
-        return first, inverse
-    return _dedup_rows(quantized)
+    order = np.argsort(group_keys)
+    known_keys = group_keys[order]
+    at = np.searchsorted(known_keys, cell_keys)
+    hit = at < n_groups
+    hit[hit] = known_keys[at[hit]] == cell_keys[hit]
+    group = np.empty(first.size, dtype=np.int64)
+    group[hit] = order[at[hit]]
+    if not (
+        np.array_equal(quantized, quantized[first[inverse]])
+        and np.array_equal(group_rows[group[hit]], quantized[first[hit]])
+    ):
+        first, inverse = _dedup_rows(np.concatenate((group_rows, quantized)))
+        inverse = inverse[n_groups:]
+        hit = first < n_groups
+        group = np.where(hit, first, 0)
+        first = first - n_groups
+    new = np.flatnonzero(~hit)
+    new = new[np.argsort(first[new])]
+    group[new] = np.arange(n_groups, n_groups + new.size)
+    return group[inverse], first[new]
 
 
 @dataclass(frozen=True)
@@ -185,60 +229,57 @@ def build_coreset(
     if client_arr.size == 0:
         raise InvalidParameterError("need at least one client")
     n_servers = int(server_arr.size)
+    mirrored = legs_mirror(provider, server_arr)
+    width = n_servers if mirrored else 2 * n_servers
+    mix = _mixing_vector(width)
 
-    #: quantized-profile bytes -> group index
-    groups: Dict[bytes, int] = {}
-    rep_nodes: list = []
-    rep_profiles: list = []
+    # The known groups, each array grown once per chunk: per group its
+    # cell key, quantized row, float profile and representative node.
+    group_keys = np.empty(0, dtype=np.int64)
+    group_rows = np.empty((0, width), dtype=np.int64)
+    rep_profiles = np.empty((0, width), dtype=np.float64)
+    representatives = np.empty(0, dtype=np.int64)
     labels = np.empty(client_arr.size, dtype=np.int64)
     epsilon = 0.0
 
     for start in range(0, client_arr.size, chunk_size):
         block = client_arr[start : start + chunk_size]
-        # (B, 2|S|) profiles in float64 so quantization cannot alias
-        # across dtypes; filled in place so neither block outlives its
-        # copy.
-        profiles = np.empty((block.size, 2 * n_servers), dtype=np.float64)
-        profiles[:, :n_servers] = provider.client_server_distances(
-            block, server_arr
+        # Profiles in float64 so quantization cannot alias across dtypes.
+        if mirrored:
+            profiles = np.asarray(
+                provider.client_server_distances(block, server_arr),
+                dtype=np.float64,
+            )
+        else:
+            profiles = np.empty((block.size, width), dtype=np.float64)
+            profiles[:, :n_servers] = provider.client_server_distances(
+                block, server_arr
+            )
+            profiles[:, n_servers:] = provider.server_client_distances(
+                server_arr, block
+            ).T
+        quantized = profiles / cell_size
+        np.floor(quantized, out=quantized)
+        quantized = quantized.astype(np.int64)
+        keys = quantized @ mix
+        chunk_labels, founders = _merge_cells(
+            quantized, keys, group_keys, group_rows
         )
-        profiles[:, n_servers:] = provider.server_client_distances(
-            server_arr, block
-        ).T
-        quantized = np.floor(profiles / cell_size).astype(np.int64)
-        # Dedup within the chunk first, then resolve each distinct cell
-        # against the global dictionary — the per-row Python cost
-        # scales with distinct cells, not clients. ``first`` points at
-        # the *first* chunk member of each cell, and iterating distinct
-        # cells by that first occurrence numbers new groups in global
-        # first-encounter order, keeping representatives, labels and
-        # weights identical to a naive one-pass scan for every
-        # chunk_size.
-        first, inverse = _dedup_cells(quantized)
-        cell_to_group = np.empty(first.size, dtype=np.int64)
-        for j in np.argsort(first):
-            member = int(first[j])
-            key = quantized[member].tobytes()
-            group = groups.get(key)
-            if group is None:
-                group = len(rep_nodes)
-                groups[key] = group
-                rep_nodes.append(int(block[member]))
-                # A copy, not a row view: a view would keep the whole
-                # chunk's profile block alive for the rest of the build.
-                rep_profiles.append(profiles[member].copy())
-            cell_to_group[j] = group
-        chunk_labels = cell_to_group[inverse]
+        group_keys = np.concatenate((group_keys, keys[founders]))
+        group_rows = np.concatenate((group_rows, quantized[founders]))
+        # Fancy indexing copies, so no chunk's profile block outlives
+        # its chunk.
+        rep_profiles = np.concatenate((rep_profiles, profiles[founders]))
+        representatives = np.concatenate((representatives, block[founders]))
         labels[start : start + block.size] = chunk_labels
         # Achieved deviation, vectorized per chunk: every member against
         # its representative's profile, in place (|rep - p| is bitwise
         # |p - rep|).
-        deviation = np.asarray(rep_profiles)[chunk_labels]
+        deviation = rep_profiles[chunk_labels]
         deviation -= profiles
         np.abs(deviation, out=deviation)
         epsilon = max(epsilon, float(deviation.max(initial=0.0)))
 
-    representatives = np.asarray(rep_nodes, dtype=np.int64)
     weights = np.bincount(labels, minlength=representatives.size).astype(
         np.int64
     )

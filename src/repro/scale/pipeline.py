@@ -26,7 +26,7 @@ from repro.algorithms.base import run_algorithm
 from repro.core.problem import ClientAssignmentProblem
 from repro.core.results import AssignmentResult
 from repro.errors import InvalidParameterError, ScaleBoundError
-from repro.net.provider import LatencyProvider, provider_name
+from repro.net.provider import LatencyProvider, legs_mirror, provider_name
 from repro.obs import Stopwatch, registry, span
 from repro.scale.coreset import DEFAULT_CHUNK_SIZE, Coreset, build_coreset
 from repro.types import IndexArrayLike, as_index_array
@@ -93,7 +93,9 @@ def expanded_objective(
     holding a ``|C| x |S|`` block. Each client needs only its own
     server's two legs, so every chunk is grouped by server and only the
     ``(members, [s])`` and ``([s], members)`` blocks are synthesized:
-    O(|C|) latencies in all, not O(|C| |S|).
+    O(|C|) latencies in all, not O(|C| |S|). When the legs mirror
+    (:func:`~repro.net.provider.legs_mirror`) the second block is the
+    bitwise transpose of the first, so the first alone gives both legs.
 
     ``server_of[i]`` must be a local server index in ``[0, |S|)`` for
     each of the ``|C|`` clients; anything else raises
@@ -125,6 +127,7 @@ def expanded_objective(
             f"server indices must lie in [0, {n_servers}), "
             f"got [{low}, {high}]"
         )
+    mirrored = legs_mirror(provider, server_arr)
     l_out = np.full(n_servers, -np.inf)
     l_in = np.full(n_servers, -np.inf)
     for start in range(0, client_arr.size, chunk_size):
@@ -137,9 +140,12 @@ def expanded_objective(
             members = block[order[bounds[s] : bounds[s + 1]]]
             target = server_arr[s : s + 1]
             cs = provider.client_server_distances(members, target)
-            sc = provider.server_client_distances(target, members)
             l_out[s] = max(l_out[s], float(cs.max()))
-            l_in[s] = max(l_in[s], float(sc.max()))
+            if not mirrored:
+                sc = provider.server_client_distances(target, members)
+                l_in[s] = max(l_in[s], float(sc.max()))
+    if mirrored:
+        l_in = l_out
     used = np.flatnonzero(np.isfinite(l_out))
     ss = np.asarray(
         provider.server_server_distances(server_arr), dtype=np.float64

@@ -36,8 +36,9 @@ class TestValidation:
             OnlineConfig().capacity = 5
 
     def test_roundtrip(self):
+        """``to_dict`` keys are the constructor's keywords."""
         config = OnlineConfig(capacity=7, join_policy="nearest")
-        assert OnlineConfig.from_dict(config.to_dict()) == config
+        assert OnlineConfig(**config.to_dict()) == config
 
 
 class TestManagerConstruction:
@@ -72,18 +73,7 @@ class TestEngineKnobs:
         data = config.to_dict()
         assert data["backend"] == "numpy"
         assert data["top_k"] == 5
-        assert OnlineConfig.from_dict(data) == config
-
-    def test_from_dict_tolerates_legacy_payloads(self):
-        """Checkpoints/WALs written before the knobs existed still load."""
-        from repro.core import DEFAULT_TOP_K
-
-        data = OnlineConfig().to_dict()
-        data.pop("backend")
-        data.pop("top_k")
-        config = OnlineConfig.from_dict(data)
-        assert config.backend == "auto"
-        assert config.top_k == DEFAULT_TOP_K
+        assert OnlineConfig(**data) == config
 
     def test_manager_threads_knobs_to_engine(self, small_world):
         matrix, servers = small_world

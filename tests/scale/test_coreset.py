@@ -10,6 +10,9 @@ from repro.core.metrics import max_interaction_path_length
 from repro.datasets import planet_instance
 from repro.datasets.synthetic import small_world_latencies
 from repro.errors import InvalidParameterError
+from repro.net.latency import LatencyMatrix
+from repro.net.provider import CoordinateProvider
+from repro.obs import MetricsRegistry, use_registry
 from repro.scale import build_coreset, expanded_objective
 from repro.scale import coreset as coreset_module
 
@@ -180,3 +183,88 @@ def test_coreset_arrays_are_readonly(dense_instance):
     coreset = build_coreset(matrix, servers, clients, cell_size=20.0)
     for arr in (coreset.representatives, coreset.weights, coreset.labels):
         assert not arr.flags.writeable
+
+
+def test_cross_chunk_key_collision_falls_back_to_exact_rows(monkeypatch):
+    """One client per chunk never collides within its chunk, so with an
+    all-zero mixing vector every chunk's key hits the first known group
+    and any other cell differs from that group's row: the merge must
+    take the exact fallback over the known rows and still give the
+    identical coreset."""
+    instance = planet_instance(400, 4, n_clusters=8, seed=3)
+
+    def build():
+        return build_coreset(
+            instance.provider,
+            instance.servers,
+            instance.clients,
+            cell_size=8.0,
+            chunk_size=1,
+        )
+
+    expected = build()
+    assert expected.n_representatives > 1
+    stacked = []
+    exact = coreset_module._dedup_rows
+
+    def counting(quantized):
+        stacked.append(quantized.shape[0])
+        return exact(quantized)
+
+    monkeypatch.setattr(
+        coreset_module,
+        "_mixing_vector",
+        lambda width: np.zeros(width, dtype=np.int64),
+    )
+    monkeypatch.setattr(coreset_module, "_dedup_rows", counting)
+    collided = build()
+    # Each fallback stacked the chunk's one row under the known rows.
+    assert stacked and min(stacked) > 1
+    assert np.array_equal(collided.representatives, expected.representatives)
+    assert np.array_equal(collided.labels, expected.labels)
+    assert np.array_equal(collided.weights, expected.weights)
+    assert collided.epsilon == expected.epsilon
+
+
+def _synthesized_elements(provider, servers, clients):
+    metrics = MetricsRegistry()
+    with use_registry(metrics):
+        build_coreset(provider, servers, clients, cell_size=8.0, chunk_size=500)
+    return metrics.snapshot()["counters"]["provider.coordinate.elements"]
+
+
+def test_mirrored_legs_synthesize_one_block():
+    """Planet servers have zero height, so the client→server block is
+    the server→client one transposed and only it is synthesized."""
+    instance = planet_instance(2000, 8, n_clusters=8, seed=4)
+    servers, clients = instance.servers, instance.clients
+    assert _synthesized_elements(instance.provider, servers, clients) == (
+        clients.size * servers.size
+    )
+
+
+def test_unmirrored_legs_synthesize_both_blocks():
+    instance = planet_instance(2000, 8, n_clusters=8, seed=4)
+    servers, clients = instance.servers, instance.clients
+    heights = np.full(instance.provider.n_nodes, 0.5)
+    provider = CoordinateProvider(
+        instance.provider.coordinates, heights=heights
+    )
+    assert _synthesized_elements(provider, servers, clients) == (
+        2 * clients.size * servers.size
+    )
+
+
+def test_dense_matrix_takes_the_two_block_path(monkeypatch, dense_instance):
+    """A matrix is never inspected for symmetry, even a symmetric one."""
+    matrix, servers, clients = dense_instance
+    calls = []
+    original = LatencyMatrix.server_client_distances
+
+    def counting(self, servers, clients):
+        calls.append(len(clients))
+        return original(self, servers, clients)
+
+    monkeypatch.setattr(LatencyMatrix, "server_client_distances", counting)
+    build_coreset(matrix, servers, clients, cell_size=20.0, chunk_size=16)
+    assert sum(calls) == clients.size

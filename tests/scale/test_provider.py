@@ -8,7 +8,12 @@ import pytest
 from repro.datasets.synthetic import small_world_latencies
 from repro.net.coordinates import VivaldiEmbedding
 from repro.net.latency import LatencyMatrix
-from repro.net.provider import CoordinateProvider, LatencyProvider, provider_name
+from repro.net.provider import (
+    CoordinateProvider,
+    LatencyProvider,
+    legs_mirror,
+    provider_name,
+)
 from repro.obs import MetricsRegistry, use_registry
 
 
@@ -110,6 +115,33 @@ def test_row_synthesis_is_instrumented(coords):
     assert snap["provider.coordinate.calls"] == 1
     assert snap["provider.coordinate.rows"] == 4
     assert snap["provider.coordinate.elements"] == 12
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_legs_mirror_when_server_heights_are_zero(coords, dtype):
+    """Zero server heights make the client→server block the bitwise
+    transpose of the server→client one, whatever the client heights."""
+    n = coords.shape[0]
+    servers = np.array([0, 3, 7], dtype=np.int64)
+    clients = np.setdiff1d(np.arange(n), servers)
+    heights = np.random.default_rng(2).uniform(0.0, 5.0, n)
+    heights[servers] = 0.0
+    for provider in (
+        CoordinateProvider(coords, dtype=dtype),
+        CoordinateProvider(coords, heights=heights, scale=1.7, dtype=dtype),
+    ):
+        assert legs_mirror(provider, servers)
+        cs = provider.client_server_distances(clients, servers)
+        sc = provider.server_client_distances(servers, clients)
+        assert cs.tobytes() == np.ascontiguousarray(sc.T).tobytes()
+    heights[servers[1]] = 0.25
+    assert not legs_mirror(CoordinateProvider(coords, heights=heights), servers)
+
+
+def test_legs_mirror_is_false_for_matrices(coords):
+    """Decided by construction: even a symmetric matrix is not checked."""
+    matrix = LatencyMatrix.from_coordinates(coords)
+    assert not legs_mirror(matrix, np.array([0, 1], dtype=np.int64))
 
 
 def test_invalid_inputs_rejected():
