@@ -17,7 +17,6 @@ variant; no separate entry points are needed.
 
 from __future__ import annotations
 
-import inspect
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.assignment import Assignment
@@ -87,25 +86,11 @@ def get_algorithm(name: str) -> AlgorithmFn:
         ) from None
 
 
-def _accepts_keyword(fn: Callable, keyword: str) -> bool:
-    """Whether ``fn`` can receive ``keyword`` as a keyword argument."""
-    try:
-        params = inspect.signature(fn).parameters
-    except (TypeError, ValueError):  # builtins / exotic callables
-        return False
-    if keyword in params:
-        return True
-    return any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-    )
-
-
 def run_algorithm(
     name: str,
     problem: ClientAssignmentProblem,
     *,
     seed: Optional[int] = None,
-    backend: Optional[str] = None,
     **kwargs: Any,
 ) -> AssignmentResult:
     """Run a registered algorithm and return a unified result.
@@ -116,10 +101,6 @@ def run_algorithm(
     objective D once, and — for algorithms registered with a detailed
     entry point — forwards their modification trace and extras.
 
-    ``backend`` selects the kernel backend of engine-backed algorithms
-    (see :func:`repro.kernels.resolve_backend`); it is forwarded only to
-    algorithms that accept the keyword, so engine-less baselines (e.g.
-    ``nearest-server``) can still be dispatched with a backend set.
     Extra keyword arguments are passed through to the algorithm
     (e.g. ``max_rounds`` for hill-climbing).
     """
@@ -129,12 +110,6 @@ def run_algorithm(
         fn = get_algorithm(name)
     else:
         get_algorithm(name)  # validate the name exists in the registry
-    if backend is not None:
-        from repro.kernels import validate_backend_name
-
-        validate_backend_name(backend)
-        if _accepts_keyword(fn, "backend"):
-            kwargs["backend"] = backend
     with span(
         f"algo.{name}",
         algorithm=name,

@@ -139,7 +139,6 @@ def distributed_greedy_detailed(
     initial: Optional[Assignment] = None,
     max_modifications: Optional[int] = None,
     evaluator: str = "incremental",
-    backend: str = "auto",
 ) -> DistributedGreedyResult:
     """Run Distributed-Greedy and return the full result object.
 
@@ -160,10 +159,6 @@ def distributed_greedy_detailed(
         ``"incremental"`` (default) serves ``L(s')`` replies from the
         incremental engine; ``"recompute"`` uses the from-scratch
         per-candidate path. Same trace either way.
-    backend:
-        Kernel backend for the incremental engine (see
-        :func:`repro.kernels.resolve_backend`); ignored under
-        ``evaluator="recompute"``.
     """
     if evaluator not in ("incremental", "recompute"):
         raise InvalidParameterError(
@@ -181,7 +176,7 @@ def distributed_greedy_detailed(
     loads = np.bincount(server_of, minlength=n_servers)
     capacities = problem.capacities
     engine = (
-        IncrementalObjective(problem, server_of, history=False, backend=backend)
+        IncrementalObjective(problem, server_of, history=False)
         if incremental
         else None
     )
@@ -280,7 +275,6 @@ def distributed_greedy(
     initial: Optional[Assignment] = None,
     max_modifications: Optional[int] = None,
     evaluator: str = "incremental",
-    backend: str = "auto",
 ) -> Assignment:
     """Registry entry point returning only the final assignment."""
     return distributed_greedy_detailed(
@@ -289,5 +283,4 @@ def distributed_greedy(
         initial=initial,
         max_modifications=max_modifications,
         evaluator=evaluator,
-        backend=backend,
     ).assignment

@@ -79,7 +79,6 @@ def greedy(
     *,
     seed: SeedLike = None,
     amortized: bool = True,
-    backend: str = "auto",
 ) -> Assignment:
     """Run Greedy Assignment.
 
@@ -92,8 +91,6 @@ def greedy(
     latter exists as an ablation of the paper's design choice — dividing
     by Δn rewards assigning many clients per unit of path-length growth;
     see ``repro.experiments.ablations.ablation_greedy_cost``.
-    ``backend`` selects the incremental engine's kernel backend (see
-    :func:`repro.kernels.resolve_backend`).
     """
     cs = problem.client_server  # (C, S): d(c, s)
     sc = problem.server_client  # (S, C)
@@ -125,7 +122,7 @@ def greedy(
     ranks = np.arange(1, n_clients + 1, dtype=np.float64)
 
     # Assignment state + per-server farthest-leg maintenance.
-    engine = IncrementalObjective(problem, history=False, backend=backend)
+    engine = IncrementalObjective(problem, history=False)
     max_len = 0.0
 
     with span("greedy.assign", clients=n_clients, servers=n_servers):
@@ -233,10 +230,9 @@ def greedy_absolute(
     problem: ClientAssignmentProblem,
     *,
     seed: SeedLike = None,
-    backend: str = "auto",
 ) -> Assignment:
     """Ablation variant of Greedy Assignment with cost = Δl (no Δn).
 
     Registered separately so experiment configs can sweep it by name.
     """
-    return greedy(problem, seed=seed, amortized=False, backend=backend)
+    return greedy(problem, seed=seed, amortized=False)

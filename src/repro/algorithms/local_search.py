@@ -68,7 +68,6 @@ def hill_climbing(
     initial: Optional[Assignment] = None,
     max_rounds: int = 50,
     evaluator: str = "incremental",
-    backend: str = "auto",
 ) -> Assignment:
     """Steepest-descent over single-client relocations.
 
@@ -79,10 +78,7 @@ def hill_climbing(
     With the default ``evaluator="incremental"`` one engine query scores
     all |S| destinations of a client at once; ``"recompute"`` evaluates
     each via a full objective pass (the pre-engine behavior, retained
-    for benchmarking — the move trajectory is identical). ``backend``
-    selects the engine's kernel backend (see
-    :func:`repro.kernels.resolve_backend`); ignored under
-    ``evaluator="recompute"``.
+    for benchmarking — the move trajectory is identical).
     """
     _check_evaluator(evaluator)
     rng = ensure_rng(seed)
@@ -93,7 +89,7 @@ def hill_climbing(
     capacities = problem.capacities
     incremental = evaluator == "incremental"
     engine = (
-        IncrementalObjective(problem, server_of, history=False, backend=backend)
+        IncrementalObjective(problem, server_of, history=False)
         if incremental
         else None
     )
@@ -159,7 +155,6 @@ def simulated_annealing(
     start_temperature: Optional[float] = None,
     cooling: float = 0.995,
     evaluator: str = "incremental",
-    backend: str = "auto",
 ) -> Assignment:
     """Simulated annealing over single-client relocations.
 
@@ -168,8 +163,6 @@ def simulated_annealing(
     best assignment visited. The default start temperature is 10% of the
     initial objective. ``evaluator`` selects incremental (default) or
     from-scratch candidate scoring; the random walk is identical.
-    ``backend`` selects the engine's kernel backend (see
-    :func:`repro.kernels.resolve_backend`).
 
     The incremental path scores candidates by tentative apply/undo
     rather than :meth:`~IncrementalObjective.delta_D`: the acceptance
@@ -188,7 +181,7 @@ def simulated_annealing(
     capacities = problem.capacities
     incremental = evaluator == "incremental"
     engine = (
-        IncrementalObjective(problem, server_of, backend=backend)
+        IncrementalObjective(problem, server_of)
         if incremental
         else None
     )

@@ -44,7 +44,6 @@ def longest_first_batch(
     problem: ClientAssignmentProblem,
     *,
     seed: SeedLike = None,
-    backend: str = "auto",
 ) -> Assignment:
     """Run Longest-First-Batch Assignment.
 
@@ -52,12 +51,11 @@ def longest_first_batch(
     algorithm is deterministic. Batches commit through an
     :class:`~repro.core.incremental.IncrementalObjective`, so the
     partial assignment's objective stays queryable throughout the
-    construction at no extra asymptotic cost. ``backend`` selects the
-    engine's kernel backend (see :func:`repro.kernels.resolve_backend`).
+    construction at no extra asymptotic cost.
     """
     cs = problem.client_server
     n_clients = problem.n_clients
-    engine = IncrementalObjective(problem, history=False, backend=backend)
+    engine = IncrementalObjective(problem, history=False)
     unassigned = np.ones(n_clients, dtype=bool)
     metrics = registry()
     batches = metrics.counter("lfb.batches")

@@ -72,11 +72,6 @@ class OnlineConfig:
         minimizes the resulting D, ``"nearest"`` is the
         deployed-system default; ``"threshold"`` and ``"spread"`` are
         remediation-style policies (see ``docs/scenarios.md``).
-    backend:
-        Kernel backend for the manager's incremental engine — one of
-        ``"auto"`` (default), ``"numba"``, ``"numpy"``; see
-        :func:`repro.kernels.resolve_backend` and
-        ``docs/performance.md``.
     top_k:
         Per-server, per-direction top-k retention of the engine's
         farthest-client lists (default
@@ -86,7 +81,6 @@ class OnlineConfig:
 
     capacity: Optional[int] = None
     join_policy: str = "greedy"
-    backend: str = "auto"
     top_k: int = DEFAULT_TOP_K
 
     def __post_init__(self) -> None:
@@ -95,9 +89,6 @@ class OnlineConfig:
                 f"capacity must be >= 1, got {self.capacity}"
             )
         validate_policy_name(self.join_policy)
-        from repro.kernels import validate_backend_name
-
-        validate_backend_name(self.backend)
         if self.top_k < 2:
             raise InvalidParameterError(
                 f"top_k must be >= 2, got {self.top_k}"
@@ -108,7 +99,6 @@ class OnlineConfig:
         return {
             "capacity": None if self.capacity is None else int(self.capacity),
             "join_policy": self.join_policy,
-            "backend": self.backend,
             "top_k": int(self.top_k),
         }
 
@@ -206,7 +196,6 @@ class OnlineAssignmentManager:
             self._universe,
             history=False,
             k=config.top_k,
-            backend=config.backend,
         )
         # Bound once, like the engine's own instruments: joins and
         # leaves pay one attribute-add each.
@@ -697,7 +686,6 @@ def simulate_churn(
     rebalance_moves: int = 8,
     capacity: Optional[int] = None,
     join_policy: str = "greedy",
-    backend: str = "auto",
     seed: SeedLike = 0,
 ) -> ChurnResult:
     """Replay a random join/leave sequence through the online manager.
@@ -707,8 +695,7 @@ def simulate_churn(
     a bounded Distributed-Greedy repair runs after every that-many
     events. Returns the D-over-time trace. ``join_policy`` selects the
     placement rule for arrivals ("greedy" = minimize resulting D,
-    "nearest" = deployed-system default); ``backend`` the manager's
-    kernel backend.
+    "nearest" = deployed-system default).
     """
     if not 0.0 < join_probability < 1.0:
         raise InvalidParameterError("join_probability must be in (0, 1)")
@@ -716,9 +703,7 @@ def simulate_churn(
     manager = OnlineAssignmentManager(
         matrix,
         servers,
-        OnlineConfig(
-            capacity=capacity, join_policy=join_policy, backend=backend
-        ),
+        OnlineConfig(capacity=capacity, join_policy=join_policy),
     )
     server_set = set(int(s) for s in as_index_array(servers))
     candidates = [u for u in range(matrix.n_nodes) if u not in server_set]

@@ -34,7 +34,6 @@ import numpy as np
 
 from repro._version import __version__
 from repro.errors import ReproError
-from repro.kernels import BACKEND_CHOICES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -104,13 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--algorithm", type=str, default="distributed-greedy")
     p_solve.add_argument("--capacity", type=int, default=None)
     p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument(
-        "--backend",
-        choices=BACKEND_CHOICES,
-        default="auto",
-        help="kernel backend for the incremental engine "
-        "(auto = numba when importable, else numpy)",
-    )
     p_solve.add_argument(
         "--save-deployment",
         type=str,
@@ -343,12 +335,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scale_solve.add_argument("--algorithm", type=str, default="distributed-greedy")
     p_scale_solve.add_argument("--seed", type=int, default=0)
     p_scale_solve.add_argument(
-        "--backend",
-        choices=BACKEND_CHOICES,
-        default="auto",
-        help="kernel backend for the reduced solve",
-    )
-    p_scale_solve.add_argument(
         "--save", type=str, default=None,
         help="write the scale-solve summary as JSON",
     )
@@ -509,9 +495,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     matrix = _make_matrix(args.kind, args.nodes, args.seed)
     servers = PLACEMENTS[args.placement](matrix, args.servers, seed=args.seed)
     problem = ClientAssignmentProblem(matrix, servers, capacities=args.capacity)
-    result = run_algorithm(
-        args.algorithm, problem, seed=args.seed, backend=args.backend
-    )
+    result = run_algorithm(args.algorithm, problem, seed=args.seed)
     assignment = result.assignment
     d = result.d
     lb = interaction_lower_bound(problem.uncapacitated())
@@ -943,7 +927,6 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         cell_size=cell,
         algorithm=args.algorithm,
         seed=args.seed,
-        backend=args.backend,
     )
     coreset = result.coreset
     print(
@@ -1164,9 +1147,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         with _run_observability(args, args.command):
             return handlers[args.command](args)
     except ReproError as exc:
-        # Package errors carry a stable code (e.g.
-        # "kernel-backend-unavailable" for --backend numba without
-        # numba); surface it instead of a traceback.
+        # Package errors carry a stable code (e.g. "invalid-parameter");
+        # surface it instead of a traceback.
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 1
 

@@ -43,12 +43,10 @@ means client ``i`` is currently unassigned) so constructive algorithms
 (Greedy, Longest-First-Batch) and the online manager (joins/leaves) run
 on the same substrate as the local-search family.
 
-The four hot loops — fused candidate scoring, the best-completion
-top-2 reduction, top-k selection for lazy rebuilds, and the O(|S|^2)
-objective refresh — are dispatched through a :mod:`repro.kernels`
-backend selected by the ``backend=`` knob (``"auto"`` picks numba when
-importable and otherwise the pure-numpy twin, which reproduces the
-historical inline engine byte for byte). Latency matrices may be
+The hot loops — fused candidate scoring, the best-completion top-2
+reduction, top-k selection for lazy rebuilds, and the O(|S|^2)
+objective refresh — run in the :mod:`repro.kernels` numpy kernels,
+which reproduce the historical inline engine byte for byte. Latency matrices may be
 float32 (see :class:`~repro.net.latency.LatencyMatrix`): the big
 ``(C, S)``/``(S, C)`` views stay in the matrix dtype for cache density
 while every S-sized accumulator remains float64, so float32 values —
@@ -67,7 +65,7 @@ import numpy as np
 from repro.core.assignment import Assignment
 from repro.core.problem import ClientAssignmentProblem
 from repro.errors import InvalidAssignmentError, InvalidParameterError
-from repro.kernels import resolve_backend
+from repro.kernels import KernelSuite
 from repro.obs.metrics import registry
 from repro.types import IndexArrayLike
 
@@ -236,13 +234,6 @@ class IncrementalObjective:
         :meth:`unassign` push undo records so :meth:`undo` can roll the
         state back. Long-running consumers (the online manager) disable
         it to bound memory.
-    backend:
-        Kernel backend for the hot loops: ``"auto"`` (default; numba
-        when importable, else the pure-numpy twin), ``"numba"``
-        (required — raises :class:`~repro.errors.KernelBackendError`
-        when numba is absent) or ``"numpy"``. Within one matrix dtype
-        the backends keep the engine state bit-identical; see
-        :mod:`repro.kernels` and ``docs/performance.md``.
     """
 
     def __init__(
@@ -252,7 +243,6 @@ class IncrementalObjective:
         *,
         k: int = DEFAULT_TOP_K,
         history: bool = True,
-        backend: str = "auto",
     ) -> None:
         if k < 2:
             raise InvalidParameterError(f"top-k retention must be >= 2, got {k}")
@@ -267,7 +257,7 @@ class IncrementalObjective:
         # Client legs reach the kernels as float64: views of float64
         # matrices, exact S-sized upcasts of float32 ones (see _context).
         self._legs64 = self._cs.dtype == self._sc.dtype == np.float64
-        self._kernels = resolve_backend(backend)
+        self._kernels = KernelSuite()
         self._k = int(k)
         self._history = bool(history)
         n_clients, n_servers = problem.n_clients, problem.n_servers
@@ -336,11 +326,6 @@ class IncrementalObjective:
     def problem(self) -> ClientAssignmentProblem:
         """The problem instance."""
         return self._problem
-
-    @property
-    def backend(self) -> str:
-        """The resolved kernel backend name (``"numpy"`` or ``"numba"``)."""
-        return self._kernels.name
 
     @property
     def server_of(self) -> np.ndarray:

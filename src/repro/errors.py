@@ -163,17 +163,6 @@ class InfeasibleScheduleError(ReproError):
     code = "infeasible-schedule"
 
 
-class KernelBackendError(ReproError):
-    """A requested compute-kernel backend cannot be used.
-
-    Raised when ``backend="numba"`` is requested explicitly but numba is
-    not importable in this environment (``backend="auto"`` silently
-    falls back to the pure-numpy twin instead).
-    """
-
-    code = "kernel-backend-unavailable"
-
-
 class DatasetError(ReproError):
     """A dataset file could not be parsed or failed integrity checks."""
 

@@ -113,10 +113,6 @@ class PlacementTrial:
     algorithms: Tuple[str, ...]
     seed: Optional[int]
     capacity: Optional[int] = None
-    #: Kernel backend the trial's algorithms run with (None = default).
-    #: Part of the instance-cache key, so mixed-backend sweeps in one
-    #: worker never alias each other's cached problems.
-    backend: Optional[str] = None
 
 
 def run_placement_trial(
@@ -135,7 +131,6 @@ def run_placement_trial(
         trial.n_servers,
         trial.seed,
         capacity=trial.capacity,
-        backend=trial.backend,
     )
     return evaluate_instance(
         cached.problem,

@@ -1,11 +1,10 @@
-"""Pure-numpy kernel twin — the engine's reference backend.
+"""The engine's kernels, in numpy.
 
 Every function here is bit-identical to the numpy the incremental
 engine ran before the kernel seam existed: same values, same dtypes,
-same tie-breaking. That makes this backend the **reference
-implementation**: selecting it (or running without numba installed)
-reproduces the pre-kernel engine byte for byte, which the regression
-tests pin against golden walk values.
+same tie-breaking. The engine therefore reproduces the pre-kernel
+engine byte for byte, which the regression tests pin against golden
+walk values.
 
 A body may be rewritten for speed only if its outputs stay
 bit-identical. ``tests/core/test_kernel_oracles.py`` keeps the

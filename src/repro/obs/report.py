@@ -210,10 +210,12 @@ def _metric_lines(metrics: Snapshot) -> List[str]:
 def _kernel_lines(metrics: Snapshot) -> List[str]:
     """The compute-kernel timing breakdown, from ``kernel.*`` counters.
 
-    :mod:`repro.kernels` records ``kernel.<backend>.<name>.calls`` and
+    :mod:`repro.kernels` records ``kernel.numpy.<name>.calls`` and
     ``.seconds`` counter pairs; render them as one row per kernel with
-    the mean time per call, so a trace shows at a glance which backend
-    ran and where engine time went (see docs/performance.md).
+    the mean time per call, so a trace shows at a glance where engine
+    time went (see docs/performance.md). The backend segment is read
+    from the name, so traces recorded with the since-deleted numba
+    kernels (``kernel.numba.*``) render too.
     """
     counters = metrics.get("counters", {})
     rows: List[Tuple[str, str, float, float]] = []

@@ -235,10 +235,7 @@ class DurableRuntime:
         policy = policy or DegradePolicy()
         config = {
             "servers": [int(s) for s in as_index_array(servers, "servers")],
-            "capacity": online.capacity,
-            "join_policy": online.join_policy,
-            "backend": online.backend,
-            "top_k": int(online.top_k),
+            **online.to_dict(),
             "readmit_moves": int(readmit_moves),
             "shed_policy": shed_policy,
             "max_backlog": policy.max_backlog,
@@ -293,12 +290,12 @@ class DurableRuntime:
         self._manager = OnlineAssignmentManager(
             matrix,
             config["servers"],
-            # .get defaults keep checkpoints/WALs written before the
-            # backend/top_k knobs existed recoverable.
+            # The top_k default keeps checkpoints/WALs written before
+            # the knob existed recoverable; a "backend" key written
+            # before the numba kernels were deleted is ignored.
             OnlineConfig(
                 capacity=config["capacity"],
                 join_policy=config["join_policy"],
-                backend=config.get("backend", "auto"),
                 top_k=int(config.get("top_k", DEFAULT_TOP_K)),
             ),
         )

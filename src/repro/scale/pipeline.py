@@ -163,7 +163,6 @@ def solve_at_scale(
     cell_size: float,
     algorithm: str = "distributed-greedy",
     seed: Optional[int] = None,
-    backend: Optional[str] = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     **kwargs: Any,
 ) -> ScaleResult:
@@ -213,11 +212,7 @@ def solve_at_scale(
                 client_weights=coreset.weights,
             )
             reduced = run_algorithm(
-                algorithm,
-                reduced_problem,
-                seed=seed,
-                backend=backend,
-                **kwargs,
+                algorithm, reduced_problem, seed=seed, **kwargs
             )
         with span("scale.expand"):
             server_of = coreset.expand(reduced.assignment.server_of)

@@ -226,7 +226,6 @@ class _Replayer:
                 "servers": [int(s) for s in self.servers],
                 "capacity": self.config.online.capacity,
                 "join_policy": self.config.online.join_policy,
-                "backend": self.config.online.backend,
                 "top_k": int(self.config.online.top_k),
                 "readmit_moves": int(self.config.readmit_moves),
                 "shed_policy": self.config.shed_policy,

@@ -53,34 +53,30 @@ class TestManagerConstruction:
 
 
 class TestEngineKnobs:
-    """The backend / top_k knobs added with the kernel subsystem."""
+    """The engine's top_k knob."""
 
     def test_defaults(self):
         from repro.core import DEFAULT_TOP_K
 
         config = OnlineConfig()
-        assert config.backend == "auto"
         assert config.top_k == DEFAULT_TOP_K
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
-            OnlineConfig(backend="gpu")
-        with pytest.raises(InvalidParameterError):
             OnlineConfig(top_k=1)
 
     def test_roundtrip_includes_knobs(self):
-        config = OnlineConfig(backend="numpy", top_k=5)
+        config = OnlineConfig(top_k=5)
         data = config.to_dict()
-        assert data["backend"] == "numpy"
         assert data["top_k"] == 5
         assert OnlineConfig(**data) == config
 
     def test_manager_threads_knobs_to_engine(self, small_world):
         matrix, servers = small_world
         manager = OnlineAssignmentManager(
-            matrix, servers, OnlineConfig(backend="numpy", top_k=4)
+            matrix, servers, OnlineConfig(top_k=4)
         )
         manager.join(0)
         manager.join(1)
         assert manager.current_d() >= 0.0
-        assert manager._engine.backend == "numpy"
+        assert manager._engine._k == 4

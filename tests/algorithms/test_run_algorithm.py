@@ -73,41 +73,3 @@ def test_evaluation_counts_scale(small_problem):
     few = run_algorithm("nearest-server", small_problem, seed=0)
     many = run_algorithm("distributed-greedy", small_problem, seed=0)
     assert many.n_evaluations > few.n_evaluations > 0
-
-
-class TestBackendForwarding:
-    def test_backend_forwarded_to_engine_algorithms(self, small_problem):
-        baseline = run_algorithm("distributed-greedy", small_problem, seed=2)
-        explicit = run_algorithm(
-            "distributed-greedy", small_problem, seed=2, backend="numpy"
-        )
-        assert (
-            explicit.assignment.server_of == baseline.assignment.server_of
-        ).all()
-        assert explicit.d == pytest.approx(baseline.d, rel=1e-12)
-
-    def test_backend_ignored_by_engineless_algorithms(self, small_problem):
-        # nearest-server never builds an engine; the knob is dropped
-        # rather than crashing the facade.
-        result = run_algorithm(
-            "nearest-server", small_problem, seed=0, backend="numpy"
-        )
-        assert result.algorithm == "nearest-server"
-
-    def test_invalid_backend_rejected(self, small_problem):
-        from repro.errors import InvalidParameterError
-
-        with pytest.raises(InvalidParameterError):
-            run_algorithm("greedy", small_problem, seed=0, backend="gpu")
-
-    @pytest.mark.parametrize("name", ["greedy", "greedy-absolute"])
-    def test_numba_request_fails_loudly_when_absent(self, small_problem, name):
-        # Both registry names build the engine; neither may fall back
-        # to numpy silently when numba was asked for.
-        from repro.errors import KernelBackendError
-        from repro.kernels import numba_available
-
-        if numba_available():
-            pytest.skip("numba importable here; the error path is unreachable")
-        with pytest.raises(KernelBackendError):
-            run_algorithm(name, small_problem, seed=0, backend="numba")

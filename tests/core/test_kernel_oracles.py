@@ -3,7 +3,7 @@
 ``reduction_top2``, ``objective_refresh`` and ``move_context`` in
 :mod:`repro.kernels.numpy_backend` were rewritten for speed under one
 contract: bit-identical outputs. This module keeps the bodies they
-replaced as oracles and checks every available backend against them —
+replaced as oracles and checks every kernel implementation against them —
 equal bytes, shapes and dtypes for all six reduction arrays, an equal
 float for the objective, and equal candidate paths (and ``d_rest``
 when asked for) — on tie-heavy integer, float32-derived and float64
@@ -23,8 +23,9 @@ from hypothesis import strategies as st
 
 from repro.algorithms.greedy import _sorted_frame
 from repro.core import ClientAssignmentProblem, IncrementalObjective
-from repro.kernels import available_backends, resolve_backend
+from repro.kernels import numpy_backend
 from repro.net.latency import LatencyMatrix
+from repro.obs.metrics import MetricsRegistry, use_registry
 
 SETTINGS = settings(
     max_examples=300,
@@ -130,7 +131,11 @@ def kernel_inputs(draw, *, min_used: int = 0):
     return ss, l_out, l_in
 
 
-BACKENDS = available_backends()
+#: Each kernel implementation the oracles check, by the name its
+#: counters record under (``kernel.<name>.*``). A compiled
+#: implementation would be added here, behind the same oracles.
+IMPLEMENTATIONS = {"numpy": numpy_backend}
+BACKENDS = sorted(IMPLEMENTATIONS)
 
 
 def _same(a: np.ndarray, b: np.ndarray) -> bool:
@@ -144,7 +149,7 @@ def _same(a: np.ndarray, b: np.ndarray) -> bool:
 def test_reduction_top2_matches_oracle(backend, data):
     ss, l_out, l_in = data
     expected = oracle_reduction_top2(ss, l_in, l_out)
-    got = resolve_backend(backend).reduction_top2(ss, l_in, l_out)
+    got = IMPLEMENTATIONS[backend].reduction_top2(ss, l_in, l_out)
     assert len(got) == 6
     for name, g, e in zip(
         ("best1_in", "best2_in", "arg1_in", "best1_out", "best2_out", "arg1_out"),
@@ -160,14 +165,14 @@ def test_reduction_top2_matches_oracle(backend, data):
 def test_objective_refresh_matches_oracle(backend, data):
     ss, l_out, l_in = data
     expected = oracle_objective_refresh(l_out, l_in, ss)
-    got = resolve_backend(backend).objective_refresh(l_out, l_in, ss)
+    got = IMPLEMENTATIONS[backend].objective_refresh(l_out, l_in, ss)
     assert type(got) is float or isinstance(got, np.floating)
     assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_single_server_and_all_unused(backend):
-    kernels = resolve_backend(backend)
+    kernels = IMPLEMENTATIONS[backend]
     ss = np.zeros((1, 1))
     one = np.array([7.0])
     for got, expected in zip(
@@ -191,7 +196,7 @@ def test_reduction_top2_tied_leader(backend):
     ss = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
     l_in = np.array([2.0, 1.0, 2.0])
     l_out = np.array([-np.inf, 3.0, 3.0])
-    got = resolve_backend(backend).reduction_top2(ss, l_in, l_out)
+    got = IMPLEMENTATIONS[backend].reduction_top2(ss, l_in, l_out)
     for g, e in zip(got, oracle_reduction_top2(ss, l_in, l_out)):
         assert _same(g, e)
     best1_in, best2_in, arg1_in = got[:3]
@@ -228,7 +233,7 @@ def move_inputs(draw):
 @SETTINGS
 @given(args=move_inputs())
 def test_move_context_matches_oracle(backend, args):
-    kernel = resolve_backend(backend).move_context
+    kernel = IMPLEMENTATIONS[backend].move_context
     paths, d_rest = oracle_move_context(*args)
     got_paths, got_rest = kernel(*args, True)
     assert _same(got_paths, paths)
@@ -245,7 +250,7 @@ def test_move_context_matches_oracle(backend, args):
 def test_d_from_reductions_matches_objective_refresh(backend, data):
     """``max(best_out + l_in)``, the engine's D on fresh reductions."""
     ss, l_out, l_in = data
-    best_out = resolve_backend(backend).reduction_top2(ss, l_in, l_out)[3]
+    best_out = IMPLEMENTATIONS[backend].reduction_top2(ss, l_in, l_out)[3]
     got = float((best_out + l_in).max())
     expected = oracle_objective_refresh(l_out, l_in, ss)
     assert np.float64(got).tobytes() == np.float64(expected).tobytes()
@@ -266,20 +271,27 @@ def test_engine_d_after_reductions_matches_objective_refresh(backend, kind):
     dtype = np.float32 if kind == "float32" else np.float64
     servers = np.sort(rng.choice(n, size=n_servers, replace=False))
     problem = ClientAssignmentProblem(LatencyMatrix(values, dtype=dtype), servers)
-    engine = IncrementalObjective(problem, history=False, backend=backend)
-    ss64 = problem.server_server.astype(np.float64)
-    for step in range(300):
-        c = int(rng.integers(problem.n_clients))
-        if engine.server_of[c] >= 0 and rng.random() < 0.3:
-            engine.unassign(c)
-        else:
-            engine.apply(c, int(rng.integers(n_servers)))
-        if engine.n_assigned == 0:
-            continue
-        engine.server_reductions()
-        l_out, l_in = engine.l_vectors()
-        expected = oracle_objective_refresh(l_out, l_in, ss64)
-        assert np.float64(engine.d()).tobytes() == np.float64(expected).tobytes()
+    with use_registry(MetricsRegistry()) as metrics:
+        engine = IncrementalObjective(problem, history=False)
+        ss64 = problem.server_server.astype(np.float64)
+        for step in range(300):
+            c = int(rng.integers(problem.n_clients))
+            if engine.server_of[c] >= 0 and rng.random() < 0.3:
+                engine.unassign(c)
+            else:
+                engine.apply(c, int(rng.integers(n_servers)))
+            if engine.n_assigned == 0:
+                continue
+            engine.server_reductions()
+            l_out, l_in = engine.l_vectors()
+            expected = oracle_objective_refresh(l_out, l_in, ss64)
+            assert (
+                np.float64(engine.d()).tobytes()
+                == np.float64(expected).tobytes()
+            )
+        counters = metrics.snapshot()["counters"]
+    # The reductions the walk read came from this implementation.
+    assert counters[f"kernel.{backend}.reduction_top2.calls"] > 0
 
 
 @pytest.mark.parametrize("kind", ["int", "float32", "float64", "constant"])

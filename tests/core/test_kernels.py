@@ -1,24 +1,15 @@
-"""Backend selection, parity, and regression tests for ``repro.kernels``.
+"""Observability, dtype parity and regression tests for ``repro.kernels``.
 
-Three layers of guarantees:
-
-- **Resolution** — backend names validate, ``"numpy"`` always works,
-  ``"numba"`` raises :class:`~repro.errors.KernelBackendError` when
-  numba is absent, ``"auto"`` never raises, and ``import repro`` does
-  not require numba at all.
-- **Parity** — within one dtype the numpy and numba backends keep
-  bit-identical engine state over long random apply/undo/batch walks
-  (run only where numba is importable); float32 instances track their
-  float64 twins to the matrix rounding.
+- **Observability** — every engine's kernels count their calls and
+  seconds under ``kernel.numpy.<name>``.
+- **Parity** — float32 instances track their float64 twins to the
+  matrix rounding.
 - **Regression** — a golden walk pins D and candidate-score values
-  produced by the pre-kernel engine, so the numpy twin is verifiably
-  the historical inline code, not merely a close cousin.
+  produced by the pre-kernel engine, so the numpy kernels are
+  verifiably the historical inline code, not merely a close cousin.
 """
 
 from __future__ import annotations
-
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -29,21 +20,8 @@ from repro.core import (
     IncrementalObjective,
     max_interaction_path_length_bruteforce,
 )
-from repro.errors import InvalidParameterError, KernelBackendError
-from repro.kernels import (
-    BACKEND_CHOICES,
-    KERNEL_NAMES,
-    KernelSuite,
-    available_backends,
-    numba_available,
-    resolve_backend,
-    validate_backend_name,
-)
 from repro.net.latency import LatencyMatrix
-
-needs_numba = pytest.mark.skipif(
-    not numba_available(), reason="numba not importable in this environment"
-)
+from repro.obs.metrics import MetricsRegistry, use_registry
 
 
 def _random_problem(rng, n, k, *, dtype=np.float64):
@@ -55,127 +33,20 @@ def _random_problem(rng, n, k, *, dtype=np.float64):
     )
 
 
-class TestResolution:
-    def test_backend_choices(self):
-        assert BACKEND_CHOICES == ("auto", "numba", "numpy")
-        for name in BACKEND_CHOICES:
-            assert validate_backend_name(name) == name
-
-    def test_invalid_name_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            validate_backend_name("cython")
-        with pytest.raises(InvalidParameterError):
-            resolve_backend("")
-
-    def test_numpy_always_resolves(self):
-        suite = resolve_backend("numpy")
-        assert isinstance(suite, KernelSuite)
-        assert suite.name == "numpy"
-        for kernel in KERNEL_NAMES:
-            assert callable(getattr(suite, kernel))
-
-    def test_auto_matches_availability(self):
-        expected = "numba" if numba_available() else "numpy"
-        assert resolve_backend("auto").name == expected
-        assert available_backends()[-1] == "numpy"
-
-    def test_numba_hard_request_raises_when_absent(self):
-        if numba_available():
-            pytest.skip("numba importable here; the error path is unreachable")
-        with pytest.raises(KernelBackendError) as exc_info:
-            resolve_backend("numba")
-        assert exc_info.value.code == "kernel-backend-unavailable"
-
-    def test_engine_surfaces_backend_choice(self):
-        rng = np.random.default_rng(0)
-        problem = _random_problem(rng, 20, 4)
-        engine = IncrementalObjective(problem, backend="numpy")
-        assert engine.backend == "numpy"
-        auto = IncrementalObjective(problem)
-        assert auto.backend in ("numpy", "numba")
-        with pytest.raises(InvalidParameterError):
-            IncrementalObjective(problem, backend="fortran")
-
-    def test_import_repro_never_requires_numba(self):
-        """``import repro`` and an engine walk succeed with numba blocked.
-
-        A meta-path hook makes ``import numba`` fail before repro is
-        imported, proving the lazy-import seam: resolution falls back
-        to the numpy twin and nothing at import time touches numba.
-        """
-        script = """
-import sys
-
-class _Block:
-    def find_module(self, name, path=None):
-        return self if name.split(".")[0] == "numba" else None
-    def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "numba":
-            raise ImportError("numba blocked for test")
-        return None
-
-sys.meta_path.insert(0, _Block())
-sys.modules.pop("numba", None)
-
-import numpy as np
-import repro
-from repro.core import ClientAssignmentProblem, IncrementalObjective
-from repro.kernels import numba_available, resolve_backend
-from repro.net.latency import LatencyMatrix
-
-assert not numba_available()
-assert resolve_backend("auto").name == "numpy"
-rng = np.random.default_rng(3)
-values = rng.uniform(1.0, 50.0, size=(12, 12))
-np.fill_diagonal(values, 0.0)
-problem = ClientAssignmentProblem(LatencyMatrix(values), [0, 5, 9])
-engine = IncrementalObjective(problem)
-for c in range(12):
-    engine.apply(c, c % 3)
-print(engine.d())
-"""
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert float(proc.stdout.strip()) > 0.0
-
-
 class TestObservability:
     def test_per_kernel_counters_accumulate(self):
-        from repro.obs.metrics import MetricsRegistry, use_registry
-
         rng = np.random.default_rng(11)
         problem = _random_problem(rng, 30, 5)
         with use_registry(MetricsRegistry()) as metrics:
-            engine = IncrementalObjective(problem, backend="numpy")
+            engine = IncrementalObjective(problem)
             for c in range(30):
                 engine.apply(c, c % 5)
             engine.d()
             engine.batch_delta_D(7, respect_capacities=False)
             counters = metrics.snapshot()["counters"]
-        name = engine.backend
-        kernel_counters = {
-            k: v for k, v in counters.items() if k.startswith(f"kernel.{name}.")
-        }
-        assert kernel_counters, (
-            f"no kernel.{name}.* counters recorded: {sorted(counters)}"
-        )
         for kernel in ("move_context", "objective_refresh"):
-            assert counters[f"kernel.{name}.{kernel}.calls"] >= 1
-            assert counters[f"kernel.{name}.{kernel}.seconds"] >= 0.0
-
-    def test_uninstrumented_suite_skips_counters(self):
-        from repro.obs.metrics import MetricsRegistry, use_registry
-
-        with use_registry(MetricsRegistry()) as metrics:
-            suite = resolve_backend("numpy", instrument=False)
-            dists = np.array([3.0, 1.0, 2.0])
-            suite.topk_select(dists, 2)
-            counters = metrics.snapshot()["counters"]
-            assert not any(k.startswith("kernel.") for k in counters)
+            assert counters[f"kernel.numpy.{kernel}.calls"] >= 1
+            assert counters[f"kernel.numpy.{kernel}.seconds"] >= 0.0
 
 
 def _walk(engine, rng, n, k_servers, steps, record_every, shadow=None):
@@ -204,8 +75,8 @@ def _walk(engine, rng, n, k_servers, steps, record_every, shadow=None):
 class TestGoldenWalk:
     """Pinned values produced by the engine *before* the kernel seam.
 
-    If these move, the numpy backend is no longer the byte-identical
-    twin of the historical inline code — which is its entire spec.
+    If these move, the numpy kernels are no longer the byte-identical
+    twin of the historical inline code — which is their entire spec.
     """
 
     GOLDEN_D = [
@@ -229,7 +100,7 @@ class TestGoldenWalk:
         10548.020573952263,
     ]
 
-    def _engine(self, backend):
+    def _engine(self):
         rng = np.random.default_rng(20260808)
         n = 120
         values = rng.uniform(5.0, 300.0, size=(n, n))
@@ -237,53 +108,18 @@ class TestGoldenWalk:
         matrix = LatencyMatrix(values)
         servers = np.sort(rng.choice(n, size=12, replace=False))
         problem = ClientAssignmentProblem(matrix, servers)
-        return IncrementalObjective(problem, history=True, backend=backend)
+        return IncrementalObjective(problem, history=True)
 
     def test_numpy_backend_is_byte_identical_to_history(self):
-        engine = self._engine("numpy")
+        engine = self._engine()
         ds, score_sums = _walk(
             engine, np.random.default_rng(7), 120, 12, 400, 50
         )
         assert ds == self.GOLDEN_D
         assert score_sums == self.GOLDEN_SCORE_SUMS
 
-    @needs_numba
-    def test_numba_backend_matches_golden_walk(self):
-        engine = self._engine("numba")
-        ds, score_sums = _walk(
-            engine, np.random.default_rng(7), 120, 12, 400, 50
-        )
-        assert ds == pytest.approx(self.GOLDEN_D, rel=1e-12)
-        assert score_sums == pytest.approx(self.GOLDEN_SCORE_SUMS, rel=1e-12)
-
 
 class TestParity:
-    @needs_numba
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_random_walks_bit_identical_across_backends(self, seed):
-        """Thousands of steps: both backends keep identical state."""
-        rng = np.random.default_rng(900 + seed)
-        n, k_servers = 40, 7
-        problem = _random_problem(rng, n, k_servers)
-        engines = {
-            name: IncrementalObjective(problem, k=3, backend=name)
-            for name in ("numpy", "numba")
-        }
-        walks = {
-            name: np.random.default_rng(1000 + seed) for name in engines
-        }
-        for name, engine in engines.items():
-            ds, sums = _walk(engine, walks[name], n, k_servers, 1200, 40)
-            if name == "numpy":
-                ref_ds, ref_sums = ds, sums
-        assert ds == ref_ds
-        assert sums == ref_sums
-        assert engines["numpy"].d() == engines["numba"].d()
-        for c in range(n):
-            a = engines["numpy"].batch_delta_D(c, respect_capacities=False)
-            b = engines["numba"].batch_delta_D(c, respect_capacities=False)
-            assert np.array_equal(a, b, equal_nan=True)
-
     @pytest.mark.parametrize("backend", ["numpy"])
     def test_float32_tracks_float64(self, backend):
         rng = np.random.default_rng(77)
@@ -292,16 +128,18 @@ class TestParity:
         np.fill_diagonal(values, 0.0)
         servers = np.sort(rng.choice(n, size=k_servers, replace=False))
         engines = {}
-        for dtype in (np.float64, np.float32):
-            problem = ClientAssignmentProblem(
-                LatencyMatrix(values, dtype=dtype), servers
-            )
-            assert problem.dtype == np.dtype(dtype)
-            engines[np.dtype(dtype).name] = IncrementalObjective(
-                problem, backend=backend
-            )
-        for name, engine in engines.items():
-            _walk(engine, np.random.default_rng(5), n, k_servers, 600, 100)
+        with use_registry(MetricsRegistry()) as metrics:
+            for dtype in (np.float64, np.float32):
+                problem = ClientAssignmentProblem(
+                    LatencyMatrix(values, dtype=dtype), servers
+                )
+                assert problem.dtype == np.dtype(dtype)
+                engine = IncrementalObjective(problem)
+                _walk(engine, np.random.default_rng(5), n, k_servers, 600, 100)
+                engines[np.dtype(dtype).name] = engine
+        # Both walks ran through this implementation's kernels.
+        counters = metrics.snapshot()["counters"]
+        assert counters[f"kernel.{backend}.move_context.calls"] > 0
         d64 = engines["float64"].d()
         d32 = engines["float32"].d()
         assert d32 == pytest.approx(d64, rel=1e-5)

@@ -218,7 +218,7 @@ class TestKernelTiming:
                 main(
                     [
                         "solve", "--nodes", "50", "--servers", "5",
-                        "--algorithm", "greedy", "--backend", "numpy",
+                        "--algorithm", "greedy",
                     ]
                 )
                 == 0

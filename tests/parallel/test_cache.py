@@ -122,23 +122,6 @@ def test_stats_arithmetic():
 def test_process_global_cache_is_singleton():
     assert instance_cache() is instance_cache()
 
-
-def test_backend_participates_in_the_key(matrix):
-    """A numba trial must never share an entry with a numpy one — the
-    key carries the kernel backend even though the built instance is
-    backend-independent."""
-    cache = InstanceCache()
-    a = cache.instance(matrix, "random", 5, 7, backend="numpy")
-    b = cache.instance(matrix, "random", 5, 7, backend="numba")
-    c = cache.instance(matrix, "random", 5, 7, backend=None)
-    assert len({id(e) for e in (a, b, c)}) == 3
-    assert cache.stats.misses == 3
-    assert cache.instance(matrix, "random", 5, 7, backend="numpy") is a
-    assert cache.stats.hits == 1
-    # Backend-distinct entries still describe the same servers.
-    assert np.array_equal(a.servers, b.servers)
-
-
 def test_dtype_participates_in_the_key(matrix):
     """float32 and float64 variants of one instance never alias, even
     if object ids were recycled across garbage collections."""

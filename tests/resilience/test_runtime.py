@@ -288,3 +288,79 @@ class TestStateDict:
             state = runtime.state_dict()
         json.dumps(state)  # must not raise
         assert state["schema"] == 1
+
+
+class TestBackendKeyInOldDirectories:
+    """Directories written while the session config carried a kernel
+    ``"backend"`` key (in the WAL ``open`` record and the checkpoint's
+    state config) recover, whatever the key names."""
+
+    @staticmethod
+    def _later_events(runtime, nodes):
+        """Replies to a few events after recovery."""
+        return [
+            runtime.join(nodes[7]),
+            runtime.crash(1).to_dict(),
+            runtime.leave(nodes[0]),
+            runtime.recover_server(1).to_dict(),
+            runtime.rebalance(max_moves=4),
+            runtime.current_d(),
+        ]
+
+    @pytest.mark.parametrize("with_checkpoint", [True, False])
+    @pytest.mark.parametrize("backend", ["auto", "numba"])
+    def test_recovers_and_continues_like_a_fresh_runtime(
+        self, tmp_path, matrix, servers, backend, with_checkpoint
+    ):
+        import copy
+
+        from repro.resilience import (
+            load_latest_checkpoint,
+            read_wal,
+            state_digest,
+            write_checkpoint,
+        )
+        from repro.resilience.wal import WriteAheadLog
+
+        nodes = client_nodes(matrix, servers, 8)
+        source = tmp_path / "source"
+        durability = DurabilityConfig(checkpoint_every=None)
+        with DurableRuntime(
+            source, matrix, servers, durability=durability
+        ) as runtime:
+            churn(runtime, nodes)
+            if with_checkpoint:
+                runtime.checkpoint()
+
+        # The same directory as written with the key: the WAL re-encoded
+        # record by record, and the checkpoint's config extended.
+        old = tmp_path / "old"
+        old.mkdir()
+        with WriteAheadLog(old / WAL_NAME) as wal:
+            for record in read_wal(source / WAL_NAME).records:
+                data = dict(record.data)
+                if record.kind == "open":
+                    data["backend"] = backend
+                wal.append(record.kind, data)
+        state = None
+        if with_checkpoint:
+            checkpoint = load_latest_checkpoint(source)
+            state = copy.deepcopy(checkpoint.state)
+            state["config"]["backend"] = backend
+            write_checkpoint(old, checkpoint.seq, state)
+        assert read_wal(old / WAL_NAME).records[0].data["backend"] == backend
+
+        recovered = DurableRuntime.recover(old, matrix)
+        if state is not None:
+            assert recovered.digest() == state_digest(state)
+        fresh = DurableRuntime(
+            None, matrix, servers, durability=DurabilityConfig(mode="off")
+        )
+        churn(fresh, nodes)
+        assert self._later_events(recovered, nodes) == self._later_events(
+            fresh, nodes
+        )
+        for part in ("applied_seq", "manager", "failover", "degrade"):
+            assert recovered.state_dict()[part] == fresh.state_dict()[part]
+        recovered.close()
+        fresh.close()

@@ -9,7 +9,6 @@ one ``objective_refresh`` per event) fails here instead of silently
 costing throughput.
 """
 
-from repro.kernels import resolve_backend
 from repro.obs import MetricsRegistry, use_registry
 from repro.service.core import AssignmentService, SessionConfig
 from repro.service.workload import generate_events
@@ -41,7 +40,7 @@ def test_serve_replay_kernel_calls_are_bounded():
                 }
             )
             assert reply["ok"], reply
-    prefix = f"kernel.{resolve_backend('auto', instrument=False).name}"
+    prefix = "kernel.numpy"
     refreshes = metrics.counter(f"{prefix}.objective_refresh.calls").value
     reductions = metrics.counter(f"{prefix}.reduction_top2.calls").value
     assert 0 < refreshes <= 0.1 * N_EVENTS

@@ -9,8 +9,7 @@ what :meth:`AssignmentService.handle` produced for one seeded
 - the values of the deterministic counters the stream moved:
   ``service.events.*``, ``online.*``, ``engine.*``, ``dga.*``,
   ``failover.*``, ``resilience.*`` and every kernel's call count
-  (``kernel.<name>.calls``, the backend segment dropped so the numpy
-  and numba backends share one fixture). Seconds and zero counts are
+  (``kernel.<name>.calls``, the ``numpy`` segment dropped). Seconds and zero counts are
   not pinned.
 
 Cases:
@@ -110,8 +109,8 @@ def case_setup(case_id: str):
 
 
 def pinned_counters(metrics: MetricsRegistry) -> Dict[str, int]:
-    """The deterministic nonzero counters of a run, kernel backends
-    folded. A zero count is left out: whether an instrument that never
+    """The deterministic nonzero counters of a run, the kernels'
+    ``numpy`` segment folded. A zero count is left out: whether an instrument that never
     moved was created up front or on first use is not a served result."""
     out: Dict[str, int] = {}
     for name, value in metrics.snapshot()["counters"].items():

@@ -372,58 +372,3 @@ class TestServiceCommands:
         finally:
             proc.terminate()
             proc.wait(10)
-
-
-class TestSolveBackend:
-    def test_explicit_numpy_backend(self, capsys):
-        code = main(
-            [
-                "solve",
-                "--nodes",
-                "40",
-                "--servers",
-                "4",
-                "--algorithm",
-                "greedy",
-                "--backend",
-                "numpy",
-            ]
-        )
-        assert code == 0
-        assert "normalized interactivity" in capsys.readouterr().out
-
-    def test_backend_choices_validated(self, capsys):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "solve",
-                    "--nodes",
-                    "40",
-                    "--servers",
-                    "4",
-                    "--backend",
-                    "gpu",
-                ]
-            )
-
-    def test_numba_backend_fails_cleanly_when_absent(self, capsys):
-        from repro.kernels import numba_available
-
-        if numba_available():
-            pytest.skip("numba importable here; the error path is unreachable")
-        code = main(
-            [
-                "solve",
-                "--nodes",
-                "40",
-                "--servers",
-                "4",
-                "--algorithm",
-                "greedy",
-                "--backend",
-                "numba",
-            ]
-        )
-        assert code != 0
-        err = capsys.readouterr().err
-        assert "numba" in err
