@@ -125,8 +125,6 @@ def test_parallel_vs_serial(benchmark, tmp_path):
             "parallel_seconds",
             "speedup",
             "trials",
-            "cache_hits",
-            "cache_lookups",
         ),
         rows=(
             (
@@ -137,8 +135,6 @@ def test_parallel_vs_serial(benchmark, tmp_path):
                 pool_seconds,
                 speedup,
                 pool_stats.n_trials,
-                pool_stats.cache.hits,
-                pool_stats.cache.lookups,
             ),
         ),
         meta={
@@ -162,14 +158,10 @@ def test_parallel_vs_serial(benchmark, tmp_path):
         f"(profile '{prof.name}', {prof.n_nodes} nodes, "
         f"{pool_stats.n_trials} trials)\n"
         + format_table(
-            ["backend", "wall (s)", "cache hits"],
+            ["backend", "wall (s)"],
             [
-                ["serial", f"{serial_seconds:.2f}", serial_stats.cache.hits],
-                [
-                    f"{n_workers} workers",
-                    f"{pool_seconds:.2f}",
-                    pool_stats.cache.hits,
-                ],
+                ["serial", f"{serial_seconds:.2f}"],
+                [f"{n_workers} workers", f"{pool_seconds:.2f}"],
             ],
         )
         + f"\nspeedup: {speedup:.2f}x — results written to {path}"

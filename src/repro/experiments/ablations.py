@@ -45,7 +45,8 @@ from repro.datasets.meridian import meridian_model
 from repro.experiments.reporting import format_table
 from repro.net.coordinates import embed_latencies
 from repro.net.latency import LatencyMatrix
-from repro.parallel import TrialPool, instance_cache
+from repro.experiments.runner import build_instance
+from repro.parallel import TrialPool
 from repro.parallel.pool import run_trials, successful_values
 from repro.placement import kcenter_a, kcenter_b, random_placement
 from repro.placement.extra import (
@@ -99,10 +100,7 @@ def _dga_initial_trial(
     matrix: LatencyMatrix, task: AblationRunTask
 ) -> Dict[str, Tuple[float, int]]:
     """One run: DGA from every starter on one random placement."""
-    cached = instance_cache().instance(
-        matrix, "random", task.n_servers, task.seed
-    )
-    problem, lb = cached.problem, cached.lower_bound
+    problem, lb = build_instance(matrix, "random", task.n_servers, task.seed)
     out: Dict[str, Tuple[float, int]] = {}
     for name, make in _DGA_STARTERS.items():
         result = distributed_greedy_detailed(
@@ -163,12 +161,9 @@ def _greedy_cost_trial(
     matrix: LatencyMatrix, task: AblationRunTask
 ) -> Dict[str, float]:
     """One run: both greedy cost variants on one random placement."""
-    cached = instance_cache().instance(
-        matrix, "random", task.n_servers, task.seed
-    )
+    problem, lb = build_instance(matrix, "random", task.n_servers, task.seed)
     return {
-        name: run_algorithm(name, cached.problem, seed=task.seed).d
-        / cached.lower_bound
+        name: run_algorithm(name, problem, seed=task.seed).d / lb
         for name in _GREEDY_COST_VARIANTS
     }
 

@@ -29,12 +29,13 @@ from repro.experiments.runner import (
     PlacementTrial,
     SweepPoint,
     aggregate_sweep,
+    build_instance,
     placement_trials,
     run_placement_trial,
 )
 from repro.net.latency import LatencyMatrix
 from repro.obs import span
-from repro.parallel import TrialPool, instance_cache
+from repro.parallel import TrialPool
 from repro.parallel.pool import run_trials
 from repro.utils.rng import derive_seed
 
@@ -218,14 +219,14 @@ class Fig9Task:
 
 def run_fig9_trial(matrix: LatencyMatrix, task: Fig9Task) -> Fig9Trace:
     """Worker-side Fig. 9 trial: one full DGA trace, normalized."""
-    cached = instance_cache().instance(
+    problem, lower_bound = build_instance(
         matrix, task.placement, task.n_servers, task.seed
     )
-    result = distributed_greedy_detailed(cached.problem)
+    result = distributed_greedy_detailed(problem)
     return Fig9Trace(
         placement=task.placement,
         n_servers=task.n_servers,
-        normalized_trace=tuple(t / cached.lower_bound for t in result.trace),
+        normalized_trace=tuple(t / lower_bound for t in result.trace),
         converged=result.converged,
     )
 
@@ -296,9 +297,8 @@ def fig10(
     so that capacity pressure — the ratio to the balanced load
     ``|C| / |S|`` — matches the paper's.
 
-    Every capacity on the x-axis shares its run's server placement, so
-    the per-process instance cache builds each placement (and its lower
-    bound) once for the whole sweep instead of once per capacity.
+    Every capacity on the x-axis shares its run's server placement: a
+    run's trials derive the same placement seed at every capacity.
     """
     if algorithms is None:
         algorithms = paper_algorithm_names()

@@ -25,17 +25,42 @@ import numpy as np
 from repro.algorithms import run_algorithm
 from repro.core import ClientAssignmentProblem, interaction_lower_bound
 from repro.net.latency import LatencyMatrix
-from repro.parallel import TrialPool, instance_cache
-from repro.parallel.cache import PLACEMENT_STRATEGIES
+from repro.parallel import TrialPool
 from repro.parallel.pool import TrialOutcome, run_trials
+from repro.placement import kcenter_a, kcenter_b, random_placement
 from repro.utils.rng import derive_seed
 
-#: Placement strategies by experiment name (the canonical registry
-#: lives in :mod:`repro.parallel.cache` so worker-side instance caching
-#: and the experiment layer agree on names).
-PLACEMENTS = PLACEMENT_STRATEGIES
+#: Placement strategies by experiment name.
+PLACEMENTS = {
+    "random": random_placement,
+    "k-center-a": kcenter_a,
+    "k-center-b": kcenter_b,
+}
 
 PLACEMENT_NAMES = tuple(PLACEMENTS)
+
+
+def build_instance(
+    matrix: LatencyMatrix,
+    placement: str,
+    n_servers: int,
+    seed: Optional[int],
+    *,
+    capacity: Optional[int] = None,
+) -> Tuple[ClientAssignmentProblem, float]:
+    """One sweep coordinate's problem and its §V lower bound.
+
+    Places ``n_servers`` servers with the named strategy, builds the
+    problem (capacitated when ``capacity`` is given) and computes the
+    lower bound of the *uncapacitated* instance, which the bound ignores
+    capacities for (paper §III).
+    """
+    servers = PLACEMENTS[placement](matrix, n_servers, seed=seed)
+    problem = ClientAssignmentProblem(matrix, servers)
+    lower_bound = float(interaction_lower_bound(problem))
+    if capacity is not None:
+        problem = problem.with_capacity(capacity)
+    return problem, lower_bound
 
 
 @dataclass(frozen=True)
@@ -118,14 +143,8 @@ class PlacementTrial:
 def run_placement_trial(
     matrix: LatencyMatrix, trial: PlacementTrial
 ) -> InstanceResult:
-    """Execute one placement trial (the worker-side entry point).
-
-    The process-local :func:`~repro.parallel.instance_cache` deduplicates
-    placement construction and lower-bound computation across trials
-    that share an instance (e.g. Fig. 10's capacity sweep re-uses one
-    placement for every capacity).
-    """
-    cached = instance_cache().instance(
+    """Execute one placement trial (the worker-side entry point)."""
+    problem, lower_bound = build_instance(
         matrix,
         trial.placement,
         trial.n_servers,
@@ -133,10 +152,7 @@ def run_placement_trial(
         capacity=trial.capacity,
     )
     return evaluate_instance(
-        cached.problem,
-        trial.algorithms,
-        seed=trial.seed,
-        lower_bound=cached.lower_bound,
+        problem, trial.algorithms, seed=trial.seed, lower_bound=lower_bound
     )
 
 

@@ -17,9 +17,8 @@ claims — is stable or widening, which is what the benchmark assertions
 pin.
 
 Runs execute as :mod:`repro.parallel` trials (one per random
-placement), so a worker pool overlaps them; the per-instance lower
-bound is hoisted into the instance cache — computed once per placement,
-shared by every algorithm scored on it.
+placement), so a worker pool overlaps them; each trial computes its
+instance's lower bound once and scores every algorithm against it.
 """
 
 from __future__ import annotations
@@ -32,7 +31,8 @@ import numpy as np
 from repro.algorithms import run_algorithm
 from repro.datasets import synthesize_meridian_like
 from repro.net.latency import LatencyMatrix
-from repro.parallel import TrialPool, instance_cache
+from repro.experiments.runner import build_instance
+from repro.parallel import TrialPool
 from repro.parallel.pool import run_trials, successful_values
 from repro.utils.rng import derive_seed
 
@@ -64,17 +64,17 @@ def run_scale_trial(
 ) -> Dict[str, float]:
     """Worker-side scale trial: raw D per algorithm, plus the bound.
 
-    The lower bound rides in through the instance cache so it is
-    derived once per instance, not once per algorithm.
+    The lower bound is derived once per instance, not once per
+    algorithm.
     """
-    cached = instance_cache().instance(
+    problem, lower_bound = build_instance(
         matrix, "random", trial.n_servers, trial.seed
     )
     ds = {
-        name: float(run_algorithm(name, cached.problem, seed=trial.seed).d)
+        name: float(run_algorithm(name, problem, seed=trial.seed).d)
         for name in trial.algorithms
     }
-    ds["__lower_bound__"] = cached.lower_bound
+    ds["__lower_bound__"] = lower_bound
     return ds
 
 

@@ -194,7 +194,8 @@ def simulate_churn_with_faults(
             controller.apply(event)
             snap(event.time, event.kind)
         connected = manager.clients
-        free = [u for u in candidates if u not in set(connected)]
+        connected_set = set(connected)
+        free = [u for u in candidates if u not in connected_set]
         do_join = (not connected) or (free and rng.uniform() < join_probability)
         if do_join and free:
             node = int(free[rng.integers(0, len(free))])

@@ -143,6 +143,10 @@ class LatencyMatrix:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LatencyMatrix is immutable")
 
+    def __reduce__(self):
+        # Rebuild through the constructor: a fresh read-only copy.
+        return LatencyMatrix, (self._d,)
+
     @staticmethod
     def _validate(d: np.ndarray) -> None:
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -190,33 +194,6 @@ class LatencyMatrix:
         np.maximum(d, min_latency, out=d)
         np.fill_diagonal(d, 0.0)
         return cls(d, dtype=dtype)
-
-    @classmethod
-    def wrap_readonly(cls, values: np.ndarray) -> "LatencyMatrix":
-        """Zero-copy wrap of an existing read-only float array.
-
-        The normal constructor defensively copies its input; this one
-        adopts ``values`` directly so a matrix backed by shared memory
-        (see :mod:`repro.parallel.shm`) is not duplicated into every
-        worker process. The array must already be ``float32`` or
-        ``float64``, C-ordered and marked non-writeable; structural
-        validation is skipped — the publishing side validated the
-        matrix once.
-        """
-        d = np.asarray(values)
-        if d.dtype not in ALLOWED_DTYPES or d.ndim != 2 or d.shape[0] != d.shape[1]:
-            raise InvalidLatencyMatrixError(
-                f"wrap_readonly needs a square float32/float64 array, got "
-                f"dtype {d.dtype}, shape {d.shape}"
-            )
-        if d.flags.writeable:
-            raise InvalidLatencyMatrixError(
-                "wrap_readonly needs a non-writeable array "
-                "(call arr.setflags(write=False) first)"
-            )
-        instance = object.__new__(cls)
-        object.__setattr__(instance, "_d", d)
-        return instance
 
     @classmethod
     def random_metric(

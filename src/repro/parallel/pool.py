@@ -16,11 +16,14 @@ Design notes
 - **Chunked scheduling.** Tasks are grouped into chunks (default: ~4
   chunks per worker) so per-task IPC overhead is amortized; a chunk is
   the unit of submission, a task the unit of failure.
-- **Shared matrices.** Each ``map_trials`` call names the latency
-  matrix its trials read; the pool publishes it once via
-  :mod:`repro.parallel.shm` and ships only the handle. Matrices are
-  keyed by identity, so a full evaluation publishing one matrix pays
-  one copy total.
+- **One matrix per executor.** Each ``map_trials`` call names the
+  latency matrix its trials read, and the executor's worker processes
+  receive it once, at start-up, through the executor's initializer:
+  ``fork`` workers inherit it with no copy, other start methods
+  unpickle one copy per worker. A call naming a different matrix (by
+  identity) replaces the executor; a call naming none reuses whatever
+  executor is running. A full evaluation with one matrix starts one
+  executor.
 - **Failure containment.** A trial that raises is retried once,
   immediately, inside the worker, then reported as a failed
   :class:`TrialOutcome` — it cannot kill the sweep. A worker *crash*
@@ -29,8 +32,7 @@ Design notes
   affected tasks in single-task chunks so a poison task is isolated
   and reported instead of re-killing healthy trials.
 - **Interrupts.** ``KeyboardInterrupt`` cancels outstanding chunks,
-  tears the executor down without waiting and re-raises — published
-  shared memory is unlinked by the ``close()``/context-manager path.
+  tears the executor down without waiting and re-raises.
 - **Determinism.** The pool never generates randomness: seeds ride in
   the task objects (derived by callers via
   :func:`repro.utils.rng.derive_seed`), and outcomes are ordered by
@@ -44,11 +46,10 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import (
     Any,
     Callable,
-    Dict,
     List,
     Optional,
     Sequence,
@@ -65,13 +66,6 @@ from repro.obs.aggregate import (
     merge_into_registry,
     merge_snapshots,
     snapshot_delta,
-)
-from repro.parallel.cache import CacheStats
-from repro.parallel.shm import (
-    PublishedMatrix,
-    SharedMatrixHandle,
-    attach_matrix,
-    publish_matrix,
 )
 
 #: A trial function: ``fn(matrix, task) -> result``. Must be a
@@ -134,8 +128,6 @@ class PoolStats:
     trial_seconds: float = 0.0
     #: Parent-side wall time spent inside ``map_trials``.
     wall_seconds: float = 0.0
-    #: Instance-cache counters aggregated across worker processes.
-    cache: CacheStats = field(default_factory=CacheStats)
 
     def describe(self) -> str:
         """One-line human-readable summary for progress reports."""
@@ -146,8 +138,7 @@ class PoolStats:
         line = (
             f"{self.n_trials} trials on {backend}: "
             f"{self.trial_seconds:.2f}s of trial work in "
-            f"{self.wall_seconds:.2f}s wall ({parallelism:.1f}x), "
-            f"instance cache {self.cache.hits}/{self.cache.lookups} hits"
+            f"{self.wall_seconds:.2f}s wall ({parallelism:.1f}x)"
         )
         if self.n_failed or self.n_retried:
             line += f", {self.n_retried} retried, {self.n_failed} failed"
@@ -167,8 +158,8 @@ def _execute_chunk(
     Trial exceptions are contained per task: one immediate in-place
     retry, then a failed outcome. Returns outcomes plus the
     metrics-registry snapshot delta accrued while running the chunk
-    (instance-cache hits/misses, engine commits, algorithm counters,
-    ...) — a plain picklable dict, mergeable across workers via
+    (engine commits, algorithm counters, ...) — a plain picklable dict,
+    mergeable across workers via
     :func:`repro.obs.aggregate.merge_snapshots`.
     """
     before = registry().snapshot()
@@ -200,24 +191,24 @@ def _execute_chunk(
     return outcomes, snapshot_delta(registry().snapshot(), before)
 
 
-def _cache_stats_from_delta(delta: Snapshot) -> CacheStats:
-    """The instance-cache counters embedded in a metrics delta."""
-    counters = delta.get("counters", {})
-    return CacheStats(
-        hits=int(counters.get("parallel.cache.hits", 0)),
-        misses=int(counters.get("parallel.cache.misses", 0)),
-        evictions=int(counters.get("parallel.cache.evictions", 0)),
-    )
+#: The matrix this worker process was started with (see
+#: :func:`_install_matrix`); ``None`` in the parent.
+_WORKER_MATRIX: Optional[LatencyMatrix] = None
+
+
+def _install_matrix(matrix: Optional[LatencyMatrix]) -> None:
+    """Executor initializer: keep the executor's matrix in the worker."""
+    global _WORKER_MATRIX
+    _WORKER_MATRIX = matrix
 
 
 def _run_chunk_remote(
     fn: TrialFn,
-    handle: Optional[SharedMatrixHandle],
+    with_matrix: bool,
     items: Sequence[Tuple[int, Any]],
 ) -> Tuple[List[TrialOutcome], Snapshot]:
-    """Worker entry point: attach the shared matrix, run the chunk."""
-    matrix = attach_matrix(handle) if handle is not None else None
-    return _execute_chunk(fn, matrix, items)
+    """Worker entry point: run the chunk against the worker's matrix."""
+    return _execute_chunk(fn, _WORKER_MATRIX if with_matrix else None, items)
 
 
 def _default_chunk_size(n_tasks: int, workers: int) -> int:
@@ -230,16 +221,11 @@ def _default_chunk_size(n_tasks: int, workers: int) -> int:
 def _mp_context():
     """The multiprocessing start method for worker processes.
 
-    ``fork`` (where available) keeps worker start cheap and inherits
-    ``sys.path``/imports; override with
-    ``REPRO_PARALLEL_START_METHOD=spawn|forkserver|fork`` when
-    debugging start-method-specific behavior.
+    ``fork`` (where available) keeps worker start cheap, inherits
+    ``sys.path``/imports and shares the executor's matrix without a
+    copy; elsewhere the platform default applies.
     """
-    preferred = os.environ.get("REPRO_PARALLEL_START_METHOD")
-    methods = multiprocessing.get_all_start_methods()
-    if preferred:
-        return multiprocessing.get_context(preferred)
-    if "fork" in methods:
+    if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
 
@@ -258,7 +244,7 @@ class TrialPool:
         worker per ``map_trials`` call.
 
     Use as a context manager (or call :meth:`close`) so worker
-    processes and shared-memory segments are reclaimed deterministically.
+    processes are reclaimed deterministically.
     """
 
     def __init__(
@@ -271,7 +257,8 @@ class TrialPool:
         self.chunk_size = chunk_size
         self.stats = PoolStats(workers=self.workers)
         self._executor: Optional[ProcessPoolExecutor] = None
-        self._published: Dict[int, PublishedMatrix] = {}
+        #: The matrix the executor's workers were started with.
+        self._matrix: Optional[LatencyMatrix] = None
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -287,14 +274,12 @@ class TrialPool:
         self.close()
 
     def close(self) -> None:
-        """Shut down workers and unlink published shared memory."""
+        """Shut down the worker processes and wait for them to exit."""
         if self._closed:
             return
         self._closed = True
         self._teardown_executor(wait=True)
-        published, self._published = self._published, {}
-        for publication in published.values():
-            publication.close()
+        self._matrix = None
 
     def __del__(self) -> None:  # pragma: no cover - GC-order dependent
         try:
@@ -312,9 +297,9 @@ class TrialPool:
     ) -> List[TrialOutcome]:
         """Run ``fn(matrix, task)`` for every task; outcomes in task order.
 
-        ``matrix`` is delivered to workers through shared memory (one
-        publication per distinct matrix per pool). Failed trials come
-        back as non-``ok`` outcomes; the call itself only raises on
+        ``matrix`` reaches workers once per executor, when its workers
+        start (see the module notes). Failed trials come back as
+        non-``ok`` outcomes; the call itself only raises on
         ``KeyboardInterrupt`` or pool misuse.
         """
         if self._closed:
@@ -328,11 +313,8 @@ class TrialPool:
         ):
             if self.is_serial:
                 # Inline execution: trial-side metric increments land
-                # directly in this process's registry, so the delta is
-                # only *read* (for the cache view), never merged back.
-                outcomes, delta = _execute_chunk(
-                    fn, matrix, list(enumerate(tasks))
-                )
+                # directly in this process's registry.
+                outcomes, _ = _execute_chunk(fn, matrix, list(enumerate(tasks)))
             else:
                 outcomes, delta = self._map_parallel(fn, tasks, matrix)
                 # Worker increments happened in forked registries: fold
@@ -347,7 +329,6 @@ class TrialPool:
         self.stats.n_retried += n_retried
         self.stats.trial_seconds += trial_seconds
         self.stats.wall_seconds += time.perf_counter() - start
-        self.stats.cache = self.stats.cache + _cache_stats_from_delta(delta)
         metrics = registry()
         metrics.counter("pool.trials").inc(len(outcomes))
         metrics.counter("pool.failed").inc(n_failed)
@@ -360,10 +341,22 @@ class TrialPool:
     # ------------------------------------------------------------------
     # Parallel backend
     # ------------------------------------------------------------------
-    def _ensure_executor(self) -> ProcessPoolExecutor:
+    def _ensure_executor(
+        self, matrix: Optional[LatencyMatrix]
+    ) -> ProcessPoolExecutor:
+        """The running executor, (re)started bound to ``matrix``.
+
+        ``None`` keeps whatever matrix the executor already holds.
+        """
+        if matrix is not None and matrix is not self._matrix:
+            self._teardown_executor(wait=True)
+            self._matrix = matrix
         if self._executor is None:
             self._executor = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=_mp_context()
+                max_workers=self.workers,
+                mp_context=_mp_context(),
+                initializer=_install_matrix,
+                initargs=(self._matrix,),
             )
         return self._executor
 
@@ -372,24 +365,12 @@ class TrialPool:
         if executor is not None:
             executor.shutdown(wait=wait, cancel_futures=True)
 
-    def _handle_for(
-        self, matrix: Optional[LatencyMatrix]
-    ) -> Optional[SharedMatrixHandle]:
-        if matrix is None:
-            return None
-        publication = self._published.get(id(matrix))
-        if publication is None:
-            publication = publish_matrix(matrix)
-            self._published[id(matrix)] = publication
-        return publication.handle
-
     def _map_parallel(
         self,
         fn: TrialFn,
         tasks: List[Any],
         matrix: Optional[LatencyMatrix],
     ) -> Tuple[List[TrialOutcome], Snapshot]:
-        handle = self._handle_for(matrix)
         chunk_size = self.chunk_size or _default_chunk_size(
             len(tasks), self.workers
         )
@@ -401,9 +382,9 @@ class TrialPool:
         outcomes: List[TrialOutcome] = []
         delta_total = empty_snapshot()
         crashed: List[Tuple[int, Any]] = []
-        executor = self._ensure_executor()
+        executor = self._ensure_executor(matrix)
         futures = {
-            executor.submit(_run_chunk_remote, fn, handle, chunk): chunk
+            executor.submit(_run_chunk_remote, fn, matrix is not None, chunk): chunk
             for chunk in chunks
         }
         try:
@@ -450,7 +431,7 @@ class TrialPool:
             self._teardown_executor(wait=False)
             raise
         if crashed:
-            retried, rerun_delta = self._rerun_crashed(fn, handle, crashed)
+            retried, rerun_delta = self._rerun_crashed(fn, matrix, crashed)
             outcomes.extend(retried)
             delta_total = merge_snapshots(delta_total, rerun_delta)
         return outcomes, delta_total
@@ -458,7 +439,7 @@ class TrialPool:
     def _rerun_crashed(
         self,
         fn: TrialFn,
-        handle: Optional[SharedMatrixHandle],
+        matrix: Optional[LatencyMatrix],
         items: List[Tuple[int, Any]],
     ) -> Tuple[List[TrialOutcome], Snapshot]:
         """Re-run tasks from crashed chunks, one task per submission.
@@ -470,9 +451,9 @@ class TrialPool:
         outcomes: List[TrialOutcome] = []
         delta_total = empty_snapshot()
         for index, task in sorted(items, key=lambda item: item[0]):
-            executor = self._ensure_executor()
+            executor = self._ensure_executor(matrix)
             future = executor.submit(
-                _run_chunk_remote, fn, handle, [(index, task)]
+                _run_chunk_remote, fn, matrix is not None, [(index, task)]
             )
             try:
                 task_outcomes, task_delta = future.result()

@@ -9,11 +9,13 @@ from repro.algorithms import (
     greedy,
     nearest_server,
 )
+from repro.algorithms.distributed_greedy import _candidate_lengths_recompute
 from repro.core import (
     Assignment,
     ClientAssignmentProblem,
     max_interaction_path_length,
 )
+from repro.net.latency import LatencyMatrix
 from repro.placement import random_placement
 
 
@@ -117,3 +119,38 @@ class TestRegistryWrapper:
         assert distributed_greedy(small_problem) == distributed_greedy_detailed(
             small_problem
         ).assignment
+
+
+class TestTieBreak:
+    """Equal ``L(s')`` replies go to the lowest server index."""
+
+    @staticmethod
+    def _tied_problem():
+        # Nodes 0-2 are servers one hop apart; nodes 3 and 4 are clients.
+        # Client 3 sits 2 from servers 0 and 1 and 10 from server 2;
+        # client 4 sits 1 from server 2 and 5 from the others.
+        d = np.array(
+            [
+                [0, 1, 1, 2, 5],
+                [1, 0, 1, 2, 5],
+                [1, 1, 0, 10, 1],
+                [2, 2, 10, 0, 12],
+                [5, 5, 1, 12, 0],
+            ],
+            dtype=float,
+        )
+        return ClientAssignmentProblem(LatencyMatrix(d), [0, 1, 2], clients=[3, 4])
+
+    @pytest.mark.parametrize("evaluator", ["incremental", "recompute"])
+    def test_equal_replies_move_to_the_lowest_index(self, evaluator):
+        problem = self._tied_problem()
+        # Both clients start on server 2: client 3's round trip (20) is D.
+        start = np.array([2, 2])
+        replies = _candidate_lengths_recompute(problem, start, 0)
+        assert replies[0] == replies[1] == 4.0
+        assert replies[2] == 20.0
+        result = distributed_greedy_detailed(
+            problem, initial=Assignment(problem, start), evaluator=evaluator
+        )
+        assert result.trace == (20.0, 4.0)
+        assert result.assignment.server_of.tolist() == [0, 2]

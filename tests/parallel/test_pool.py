@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -27,6 +29,10 @@ def _square(matrix, task):
 
 def _matrix_row_sum(matrix, task):
     return float(matrix.values[task].sum())
+
+
+def _has_matrix(matrix, task):
+    return matrix is not None
 
 
 def _fail_on_three(matrix, task):
@@ -97,13 +103,51 @@ def test_parallel_matches_serial_results():
     assert [o.index for o in parallel] == list(range(23))
 
 
-def test_parallel_delivers_matrix_via_shared_memory():
+def test_parallel_delivers_matrix_to_workers():
     matrix = small_world_latencies(30, seed=5)
     tasks = list(range(matrix.n_nodes))
     expected = [float(matrix.values[i].sum()) for i in tasks]
     with TrialPool(2) as pool:
         outcomes = pool.map_trials(_matrix_row_sum, tasks, matrix=matrix)
     assert [o.value for o in outcomes] == expected
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_matrix_pickle_round_trip_keeps_dtype_and_values(dtype):
+    matrix = small_world_latencies(12, seed=3).astype(dtype)
+    restored = pickle.loads(pickle.dumps(matrix))
+    assert restored.dtype == np.dtype(dtype)
+    assert restored.values.tobytes() == matrix.values.tobytes()
+    assert not restored.values.flags.writeable
+
+
+def test_spawned_workers_receive_the_matrix(monkeypatch):
+    """Without fork the executor's initializer pickles the matrix over."""
+    import repro.parallel.pool as pool_module
+
+    monkeypatch.setattr(
+        pool_module, "_mp_context", lambda: multiprocessing.get_context("spawn")
+    )
+    matrix = small_world_latencies(16, seed=4)
+    tasks = list(range(matrix.n_nodes))
+    expected = [float(matrix.values[i].sum()) for i in tasks]
+    with TrialPool(2) as pool:
+        outcomes = pool.map_trials(_matrix_row_sum, tasks, matrix=matrix)
+    assert [o.value for o in outcomes] == expected
+
+
+def test_new_matrix_replaces_the_executor_and_none_reuses_it():
+    first = small_world_latencies(10, seed=1)
+    second = small_world_latencies(14, seed=2)
+    with TrialPool(2) as pool:
+        pool.map_trials(_matrix_row_sum, [0], matrix=first)
+        executor = pool._executor
+        # A matrix-less call runs on the same workers and passes None.
+        assert [o.value for o in pool.map_trials(_has_matrix, [0])] == [False]
+        assert pool._executor is executor
+        (outcome,) = pool.map_trials(_matrix_row_sum, [13], matrix=second)
+        assert pool._executor is not executor
+    assert outcome.value == float(second.values[13].sum())
 
 
 def test_empty_task_list():
@@ -184,13 +228,12 @@ def test_successful_values_filters_and_raises():
         )
 
 
-def test_stats_describe_mentions_backend_and_cache():
+def test_stats_describe_mentions_backend():
     with TrialPool(0) as pool:
         pool.map_trials(_square, [1, 2])
     line = pool.stats.describe()
     assert "serial" in line
     assert "2 trials" in line
-    assert "instance cache" in line
 
 
 def test_chunking_never_drops_tasks():
