@@ -213,28 +213,51 @@ class CoordinateProvider:
         the heights and floored in place, and cast to the provider dtype
         at the end — the exact pipeline of
         :meth:`LatencyMatrix.from_coordinates`, which is what makes
-        dense and synthesized views byte-identical. The largest
-        temporary is one ``(len(rows), len(cols))`` float64 block.
+        dense and synthesized views byte-identical.
+
+        A tall request (more rows than columns, such as a chunk of
+        clients against the servers) is built in the ``(cols, rows)``
+        orientation, so every ufunc runs along the long axis, and is
+        returned as a C-contiguous transpose. Each element sees the same
+        operations in the same order either way: ``(a - b)**2`` is
+        bitwise ``(b - a)**2``, the coordinates are summed left to
+        right, then the row's height is added, then the column's, then
+        the floor applies. The diagonal mask is skipped when the id
+        ranges of ``rows`` and ``cols`` are disjoint. The largest
+        temporaries are the float64 block itself and, for a tall
+        request, the transposed copy returned.
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        d = pairwise_euclidean(self._coords[rows], self._coords[cols])
+        tall = rows.size > cols.size
+        # d[i, j] is the latency between outer[i] and inner[j].
+        outer, inner = (cols, rows) if tall else (rows, cols)
+        d = pairwise_euclidean(self._coords[outer], self._coords[inner])
         if self._scale != 1.0:
             d *= self._scale
         if self._heights is not None:
-            d += self._heights[rows][:, None]
-            d += self._heights[cols][None, :]
+            row_heights = self._heights[rows]
+            col_heights = self._heights[cols]
+            if tall:
+                d += row_heights[None, :]
+                d += col_heights[:, None]
+            else:
+                d += row_heights[:, None]
+                d += col_heights[None, :]
         # Flooring the diagonal too is harmless: it is zeroed next.
         np.maximum(d, self._min_latency, out=d)
-        same = rows[:, None] == cols[None, :]
-        if same.any():
-            d[same] = 0.0
+        if not _disjoint(rows, cols):
+            same = outer[:, None] == inner[None, :]
+            if same.any():
+                d[same] = 0.0
         metrics = registry()
         metrics.counter("provider.coordinate.calls").inc()
         metrics.counter("provider.coordinate.rows").inc(int(rows.size))
         metrics.counter("provider.coordinate.elements").inc(
             int(rows.size) * int(cols.size)
         )
+        if tall:
+            return np.ascontiguousarray(d.T, dtype=self._dtype)
         return np.asarray(d, dtype=self._dtype)
 
     def distance(self, u: int, v: int) -> float:
@@ -275,6 +298,16 @@ class CoordinateProvider:
         block = self._block(nodes, nodes)
         # Valid by construction: zero diagonal, positive off-diagonals.
         return LatencyMatrix(block, validate=False)
+
+
+def _disjoint(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether the id ranges of ``a`` and ``b`` cannot share a node."""
+    return (
+        a.size == 0
+        or b.size == 0
+        or int(a.min()) > int(b.max())
+        or int(a.max()) < int(b.min())
+    )
 
 
 def legs_mirror(provider: LatencyProvider, servers: np.ndarray) -> bool:

@@ -31,13 +31,16 @@ by at most ``eps`` each, hence::
 bucket.)
 
 Construction is **chunked**: profiles are synthesized
-``chunk_size`` clients at a time through the
+``chunk_size`` clients at a time (by default a cache-sized
+:data:`DEFAULT_CHUNK_SIZE`) through the
 :class:`~repro.net.provider.LatencyProvider` views, so peak memory is
 O(chunk_size · |S| + |R| · |S|) — a million clients never materialize a
 dense ``|C| x |S|`` block. Each chunk's cells are merged into the groups
 found so far by a **sorted-key merge** (:func:`_merge_cells`): one int64
 key per quantized row, a ``searchsorted`` against the known groups'
 sorted keys, and an exact row check, with no per-cell Python work.
+Known groups keep their key and float profile only: a group's quantized
+row is recomputed from its profile where a check needs it.
 """
 
 from __future__ import annotations
@@ -54,7 +57,11 @@ from repro.obs.metrics import registry
 from repro.types import IndexArrayLike, as_index_array
 
 #: Default number of clients whose profiles are synthesized per chunk.
-DEFAULT_CHUNK_SIZE = 65536
+#: A cache-sized block (2 MiB of float64 at 32 servers): of 4096, 8192
+#: and 16384, 8192 balanced peak memory against the per-chunk merge
+#: cost, which grows with the number of known groups (see
+#: docs/performance.md).
+DEFAULT_CHUNK_SIZE = 8192
 
 
 @lru_cache(maxsize=None)
@@ -82,20 +89,31 @@ def _dedup_rows(quantized: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return first, inverse.reshape(-1)
 
 
+def _quantize(profiles: np.ndarray, cell_size: float) -> np.ndarray:
+    """The int64 grid cells ``floor(profiles / cell_size)``, row by row."""
+    quantized = profiles / cell_size
+    np.floor(quantized, out=quantized)
+    return quantized.astype(np.int64)
+
+
 def _merge_cells(
     quantized: np.ndarray,
     keys: np.ndarray,
     group_keys: np.ndarray,
-    group_rows: np.ndarray,
+    rep_profiles: np.ndarray,
+    cell_size: float,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Label one chunk's quantized rows with known or new groups.
 
     ``keys[i]`` is row ``i``'s cell key; ``group_keys[g]`` and
-    ``group_rows[g]`` are the key and quantized row of known group
-    ``g`` of ``n``. Returns ``(labels, founders)``: ``labels[i]`` is row
-    ``i``'s group and ``founders`` the first rows of the cells that open
-    the new groups ``n, n + 1, ...``, in first-encounter order — the
-    numbering of a one-pass scan over all clients, whatever the chunk.
+    ``rep_profiles[g]`` are the key and representative's float profile
+    of known group ``g`` of ``n``, whose quantized row is
+    ``_quantize(rep_profiles[g], cell_size)`` exactly: it is recomputed
+    only where a check needs it, never stored. Returns
+    ``(labels, founders)``: ``labels[i]`` is row ``i``'s group and
+    ``founders`` the first rows of the cells that open the new groups
+    ``n, n + 1, ...``, in first-encounter order — the numbering of a
+    one-pass scan over all clients, whatever the chunk.
 
     A 1-D ``np.unique`` over the keys splits the chunk into cells and a
     ``searchsorted`` looks each cell's key up among the known groups.
@@ -110,7 +128,7 @@ def _merge_cells(
     among them *is* that group; the groups come out the same either
     way.
     """
-    n_groups = group_rows.shape[0]
+    n_groups = rep_profiles.shape[0]
     cell_keys, first, inverse = np.unique(
         keys, return_index=True, return_inverse=True
     )
@@ -123,9 +141,14 @@ def _merge_cells(
     group[hit] = order[at[hit]]
     if not (
         np.array_equal(quantized, quantized[first[inverse]])
-        and np.array_equal(group_rows[group[hit]], quantized[first[hit]])
+        and np.array_equal(
+            _quantize(rep_profiles[group[hit]], cell_size),
+            quantized[first[hit]],
+        )
     ):
-        first, inverse = _dedup_rows(np.concatenate((group_rows, quantized)))
+        first, inverse = _dedup_rows(
+            np.concatenate((_quantize(rep_profiles, cell_size), quantized))
+        )
         inverse = inverse[n_groups:]
         hit = first < n_groups
         group = np.where(hit, first, 0)
@@ -234,9 +257,8 @@ def build_coreset(
     mix = _mixing_vector(width)
 
     # The known groups, each array grown once per chunk: per group its
-    # cell key, quantized row, float profile and representative node.
+    # cell key, float profile and representative node.
     group_keys = np.empty(0, dtype=np.int64)
-    group_rows = np.empty((0, width), dtype=np.int64)
     rep_profiles = np.empty((0, width), dtype=np.float64)
     representatives = np.empty(0, dtype=np.int64)
     labels = np.empty(client_arr.size, dtype=np.int64)
@@ -258,15 +280,12 @@ def build_coreset(
             profiles[:, n_servers:] = provider.server_client_distances(
                 server_arr, block
             ).T
-        quantized = profiles / cell_size
-        np.floor(quantized, out=quantized)
-        quantized = quantized.astype(np.int64)
+        quantized = _quantize(profiles, cell_size)
         keys = quantized @ mix
         chunk_labels, founders = _merge_cells(
-            quantized, keys, group_keys, group_rows
+            quantized, keys, group_keys, rep_profiles, cell_size
         )
         group_keys = np.concatenate((group_keys, keys[founders]))
-        group_rows = np.concatenate((group_rows, quantized[founders]))
         # Fancy indexing copies, so no chunk's profile block outlives
         # its chunk.
         rep_profiles = np.concatenate((rep_profiles, profiles[founders]))

@@ -5,9 +5,10 @@
 reduced weighted instance with any registered algorithm through
 :func:`~repro.algorithms.base.run_algorithm`, expand the result back to
 every client, and evaluate the **exact** expanded objective by
-streaming clients through the provider in chunks (per-server
-farthest-leg maxima, then the O(|S|^2) server reduction — never a dense
-``|C| x |S|`` block). The additive guarantee
+streaming each server's members through the provider in slices of at
+most ``chunk_size`` (per-server farthest-leg maxima, then the O(|S|^2)
+server reduction — never a dense ``|C| x |S|`` block). The additive
+guarantee
 
     ``D_expanded <= D_reduced + 2 * coreset.epsilon``
 
@@ -86,16 +87,19 @@ def expanded_objective(
 ) -> float:
     """Exact D of a full assignment, streamed in O(|S|^2) memory.
 
-    Accumulates per-server farthest outgoing/incoming client legs over
-    client chunks, then reduces ``max l_out[s1] + d(s1, s2) + l_in[s2]``
-    over used servers — the same decomposition as
+    Accumulates per-server farthest outgoing/incoming client legs, then
+    reduces ``max l_out[s1] + d(s1, s2) + l_in[s2]`` over used servers —
+    the same decomposition as
     :func:`repro.core.metrics.max_interaction_path_length`, without ever
     holding a ``|C| x |S|`` block. Each client needs only its own
-    server's two legs, so every chunk is grouped by server and only the
-    ``(members, [s])`` and ``([s], members)`` blocks are synthesized:
-    O(|C|) latencies in all, not O(|C| |S|). When the legs mirror
-    (:func:`~repro.net.provider.legs_mirror`) the second block is the
-    bitwise transpose of the first, so the first alone gives both legs.
+    server's two legs, so the clients are sorted by server once and
+    each server's members are synthesized in slices of at most
+    ``chunk_size`` as ``(members, [s])`` and ``([s], members)`` blocks:
+    O(|C|) latencies in all, not O(|C| |S|), in
+    ``sum(ceil(n_s / chunk_size))`` calls per direction. When the legs
+    mirror (:func:`~repro.net.provider.legs_mirror`) the second block is
+    the bitwise transpose of the first, so the first alone gives both
+    legs.
 
     ``server_of[i]`` must be a local server index in ``[0, |S|)`` for
     each of the ``|C|`` clients; anything else raises
@@ -130,15 +134,15 @@ def expanded_objective(
     mirrored = legs_mirror(provider, server_arr)
     l_out = np.full(n_servers, -np.inf)
     l_in = np.full(n_servers, -np.inf)
-    for start in range(0, client_arr.size, chunk_size):
-        block = client_arr[start : start + chunk_size]
-        assigned = server_of[start : start + block.size]
-        counts = np.bincount(assigned, minlength=n_servers)
-        bounds = np.concatenate(([0], np.cumsum(counts)))
-        order = np.argsort(assigned)
-        for s in np.flatnonzero(counts):
-            members = block[order[bounds[s] : bounds[s + 1]]]
-            target = server_arr[s : s + 1]
+    order = np.argsort(server_of)
+    bounds = np.concatenate(
+        ([0], np.cumsum(np.bincount(server_of, minlength=n_servers)))
+    )
+    for s in np.flatnonzero(np.diff(bounds)):
+        target = server_arr[s : s + 1]
+        for start in range(bounds[s], bounds[s + 1], chunk_size):
+            stop = min(start + chunk_size, bounds[s + 1])
+            members = client_arr[order[start:stop]]
             cs = provider.client_server_distances(members, target)
             l_out[s] = max(l_out[s], float(cs.max()))
             if not mirrored:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core import Assignment, ClientAssignmentProblem
 from repro.core.metrics import max_interaction_path_length
-from repro.datasets import planet_instance
+from repro.datasets import coreset_cell_size_hint, planet_instance
 from repro.datasets.synthetic import small_world_latencies
 from repro.errors import InvalidParameterError
 from repro.net.latency import LatencyMatrix
@@ -268,3 +270,35 @@ def test_dense_matrix_takes_the_two_block_path(monkeypatch, dense_instance):
     monkeypatch.setattr(LatencyMatrix, "server_client_distances", counting)
     build_coreset(matrix, servers, clients, cell_size=20.0, chunk_size=16)
     assert sum(calls) == clients.size
+
+
+def test_peak_memory_stays_within_the_stated_bound():
+    """``build_coreset`` promises O(chunk · |S| + |R| · |S|) memory. On
+    a planet instance of ``4 * DEFAULT_CHUNK_SIZE`` clients and 32
+    servers (mirrored legs, so profile width 32), the traced peak of the
+    default build, in units of ``chunk·width·8 + |R|·width·8`` bytes,
+    measured 3.2–3.3 on seeds 0 and 1. The derivation: at most three
+    chunk-wide blocks are live at once (the profile block, its quantized
+    cells, and either the float quotient before its int64 cast or the
+    members' representative profiles used for ε), the representatives'
+    profile array exists twice while it grows (2 |R|-wide copies), and
+    the chunk keys and the |C| labels add a little more. The bound of 4
+    units leaves about 20 % headroom; building the whole instance as one
+    chunk, as a 65 536 default did, reads about 7 units, and storing
+    every group's quantized row beside its profile about 3.7."""
+    instance = planet_instance(
+        4 * coreset_module.DEFAULT_CHUNK_SIZE, 32, n_clusters=64, seed=0
+    )
+    cell = coreset_cell_size_hint(instance)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        coreset = build_coreset(
+            instance.provider, instance.servers, instance.clients, cell_size=cell
+        )
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    width = instance.n_servers
+    unit = 8 * width * (coreset_module.DEFAULT_CHUNK_SIZE + coreset.n_representatives)
+    assert peak < 4 * unit, (peak / unit, peak, unit)

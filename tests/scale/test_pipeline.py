@@ -86,6 +86,31 @@ def test_expanded_objective_is_exact():
         )
 
 
+@pytest.mark.parametrize("chunk_size", [7, 46, 1000])
+def test_expansion_synthesizes_each_server_in_chunk_slices(chunk_size):
+    """Clients are grouped by server once, so the expansion makes one
+    provider call per ``chunk_size`` slice of each used server's
+    members (planet legs mirror, so one block per slice), plus the one
+    server block: ``sum(ceil(n_s / chunk_size)) + 1`` calls in all."""
+    planet = planet_instance(600, 6, n_clusters=8, seed=5)
+    server_of = np.random.default_rng(8).integers(0, 5, size=600)
+    server_of[:100] = 0
+    members = np.bincount(server_of)
+    slices = sum(-(-int(n) // chunk_size) for n in members if n)
+    metrics = MetricsRegistry()
+    with use_registry(metrics):
+        expanded_objective(
+            planet.provider,
+            planet.servers,
+            planet.clients,
+            server_of,
+            chunk_size=chunk_size,
+        )
+    assert metrics.snapshot()["counters"]["provider.coordinate.calls"] == (
+        slices + 1
+    )
+
+
 def _full_block_objective(provider, servers, clients, server_of, *, chunk_size):
     """Reference: synthesize full ``(chunk, |S|)`` blocks in both
     directions and read each client's own server's entries."""

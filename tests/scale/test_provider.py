@@ -7,7 +7,7 @@ import pytest
 
 from repro.datasets.synthetic import small_world_latencies
 from repro.net.coordinates import VivaldiEmbedding
-from repro.net.latency import LatencyMatrix
+from repro.net.latency import LatencyMatrix, pairwise_euclidean
 from repro.net.provider import (
     CoordinateProvider,
     LatencyProvider,
@@ -164,3 +164,78 @@ def test_provider_is_immutable(coords):
     with pytest.raises(AttributeError):
         provider.anything = 1
     assert not provider.coordinates.flags.writeable
+
+
+def oracle_block(provider: CoordinateProvider, rows, cols) -> np.ndarray:
+    """The historical row-major ``_block`` body: every request built in
+    the ``(rows, cols)`` orientation, with the diagonal mask always
+    computed. The long-axis synthesis must match it bit for bit."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    d = pairwise_euclidean(provider._coords[rows], provider._coords[cols])
+    if provider._scale != 1.0:
+        d *= provider._scale
+    if provider._heights is not None:
+        d += provider._heights[rows][:, None]
+        d += provider._heights[cols][None, :]
+    np.maximum(d, provider._min_latency, out=d)
+    same = rows[:, None] == cols[None, :]
+    if same.any():
+        d[same] = 0.0
+    return np.asarray(d, dtype=provider._dtype)
+
+
+def _assert_same_block(got: np.ndarray, expected: np.ndarray) -> None:
+    assert got.flags.c_contiguous
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+#: (rows, cols) node ids over a 60-node universe: tall, wide and square
+#: requests; overlapping ids (floor and zero diagonal both present);
+#: disjoint id ranges in both orders.
+BLOCK_CASES = {
+    "tall-overlapping": (np.arange(0, 40), np.array([3, 17, 25, 39])),
+    "wide-overlapping": (np.array([3, 17, 25, 39]), np.arange(0, 40)),
+    "square-overlapping": (np.arange(0, 20), np.arange(1, 21)[::-1]),
+    "tall-disjoint-rows-above": (np.arange(20, 60), np.arange(0, 6)),
+    "tall-disjoint-rows-below": (np.arange(0, 40), np.arange(50, 56)),
+    "wide-disjoint-rows-above": (np.arange(54, 60), np.arange(0, 40)),
+    "wide-disjoint-rows-below": (np.arange(0, 6), np.arange(20, 60)),
+    "square-disjoint": (np.arange(30, 40), np.arange(0, 10)),
+    "interleaved": (np.arange(0, 60, 2), np.arange(1, 60, 7)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("scale", [1.0, 2.5])
+@pytest.mark.parametrize("with_heights", [False, True])
+def test_block_matches_the_row_major_oracle(case, dtype, scale, with_heights):
+    """Every view equals the historical row-major body bit for bit and
+    is C-contiguous, whichever orientation the block was built in."""
+    rng = np.random.default_rng(5)
+    coords = rng.uniform(0.0, 100.0, size=(60, 3))
+    # Two nodes share coordinates and have zero height, so the floor
+    # (25.0) reaches a pair off the diagonal too.
+    coords[17] = coords[3]
+    heights = rng.uniform(0.0, 20.0, 60) if with_heights else None
+    if heights is not None:
+        heights[[3, 17]] = 0.0
+    provider = CoordinateProvider(
+        coords, heights=heights, scale=scale, min_latency=25.0, dtype=dtype
+    )
+    rows, cols = BLOCK_CASES[case]
+    expected = oracle_block(provider, rows, cols)
+    if case.endswith("overlapping"):
+        assert np.any(expected == 0.0) and np.any(expected == 25.0)
+    _assert_same_block(provider.client_server_distances(rows, cols), expected)
+    _assert_same_block(
+        provider.server_client_distances(rows, cols), expected
+    )
+    _assert_same_block(
+        provider.server_server_distances(rows), oracle_block(provider, rows, rows)
+    )
+    _assert_same_block(
+        provider.server_server_distances(cols), oracle_block(provider, cols, cols)
+    )
